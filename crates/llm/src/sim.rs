@@ -13,7 +13,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use seed_retrieval::{content_words, split_identifier};
+use seed_retrieval::{content_words, normalized_similarity, split_identifier, DpRow};
 use seed_sqlengine::Value;
 
 use crate::knowledge::{parse_evidence_clauses, KnowledgeAtom, KnowledgeKind, SqlCondition};
@@ -460,6 +460,7 @@ impl LanguageModel for SimLlm {
             }
         }
 
+        let mut row = DpRow::default();
         keywords
             .into_iter()
             .map(|kw| {
@@ -477,7 +478,9 @@ impl LanguageModel for SimLlm {
                         if desc.contains(&kw_lower) {
                             score += 1.0;
                         }
-                        if seed_retrieval::normalized_similarity(&col.name, &kw) > 0.7 {
+                        if normalized_similarity(&col.name.to_lowercase(), &kw_lower, &mut row)
+                            > 0.7
+                        {
                             score += 1.0;
                         }
                         if score > 0.0 {

@@ -10,7 +10,7 @@
 //! substring matches (the inverted index makes this probe cheap).
 
 use seed_llm::{ExtractedKeyword, GroundedColumn, KeywordExtractionTask, LanguageModel};
-use seed_retrieval::{normalized_similarity, Bm25Index};
+use seed_retrieval::{normalized_similarity, Bm25Index, DpRow};
 use seed_sqlengine::{execute, Database};
 
 /// A probe query that was executed, kept for the pipeline trace.
@@ -57,7 +57,9 @@ pub fn ground_keywords(
 ) -> SampleSqlResult {
     let mut result = SampleSqlResult::default();
     let mut pairs = 0usize;
+    let mut row = DpRow::default();
     for kw in keywords {
+        let keyword = kw.keyword.to_lowercase();
         for (table, column) in &kw.candidate_columns {
             if pairs >= MAX_PAIRS {
                 break;
@@ -88,7 +90,7 @@ pub fn ground_keywords(
             // Similar values by edit distance (the paper's second retrieval mode).
             let mut similar: Vec<(String, f64)> = values
                 .iter()
-                .map(|v| (v.clone(), normalized_similarity(&kw.keyword, v)))
+                .map(|v| (v.clone(), normalized_similarity(&keyword, &v.to_lowercase(), &mut row)))
                 .filter(|(_, s)| *s >= 0.5)
                 .collect();
             similar.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));

@@ -59,10 +59,20 @@
 //! over column slices, and grouping hashes batch-evaluated key columns
 //! through the same [`storage::GroupKeyMap`]. Anything the batch layer
 //! cannot express (subqueries, outer references, nested aggregates) falls
-//! back to the shared row machinery per statement — counted in
-//! [`ExecStats::columnar_fallbacks`] — so results stay row-identical to the
-//! other modes by construction (see the [`mod@columnar`] docs for the exact
-//! semantics contract).
+//! back to the shared row machinery per operator — only that expression is
+//! row-evaluated while the rest of the statement stays batched; each bridged
+//! expression counts in [`ExecStats::columnar_fallbacks`], and each mixed
+//! statement in [`ExecStats::columnar_partial`] — so results stay
+//! row-identical to the other modes by construction (see the
+//! [`mod@columnar`] docs for the exact semantics contract).
+//!
+//! ## Value sample
+//!
+//! Each [`Table`] also keeps a lazily built [`ValueSample`]: for every text
+//! column, the first [`VALUE_SAMPLE_SIZE`] distinct values, rendered and
+//! lowercased once. Text-to-SQL value retrieval scores question words
+//! against it instead of rescanning the rows per question. Clones of a
+//! table state share it, and every mutation drops it.
 //!
 //! [`plan::PlanMode::NestedLoop`] preserves the original cross-product
 //! executor as a semantic reference (it never caches or decorrelates);
@@ -132,5 +142,8 @@ pub use prepared::{PreparedStatement, SharedPlanCache};
 pub use profile::{format_nanos, OpProfile, QueryProfile};
 pub use result::{ExecStats, ResultSet};
 pub use schema::{ColumnDef, DataType, DatabaseSchema, ForeignKey, TableSchema};
-pub use storage::{ColumnTextIndex, Database, EqKeyMap, GroupKeyMap, ProbeHits, Row, Table};
+pub use storage::{
+    ColumnSample, Database, EqKeyMap, GroupKeyMap, ProbeHits, Row, SampledValue, Table,
+    ValueSample, VALUE_SAMPLE_SIZE,
+};
 pub use value::{like_match, ArithOp, Truth, Value};

@@ -5,12 +5,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
-use seed_retrieval::bm25::{Bm25Index, SearchHit};
-
 use crate::chunk::{chunk_rows, DataChunk, BATCH_SIZE};
 use crate::error::{SqlError, SqlResult};
-use crate::schema::{DatabaseSchema, TableSchema};
+use crate::schema::{DataType, DatabaseSchema, TableSchema};
 use crate::value::Value;
 
 /// Row positions returned by a hash probe.
@@ -471,81 +468,79 @@ impl GroupKeyMap {
     }
 }
 
-/// A BM25 index over one column's text cells, with doc-id → row-position
-/// mapping. Built (and incrementally maintained) by [`Table::text_index`];
-/// NULLs and non-text cells are skipped, so document ids are dense over the
-/// column's text rows and `row_of` translates them back to table positions.
-#[derive(Debug, Clone, Default)]
-pub struct ColumnTextIndex {
-    index: Bm25Index,
-    row_of: Vec<usize>,
+/// Distinct values per text column that a [`ValueSample`] holds.
+pub const VALUE_SAMPLE_SIZE: usize = 64;
+
+/// One sampled text-column value, rendered and lowercased once.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SampledValue {
+    /// The cell as [`Value::render`] prints it.
+    pub text: String,
+    /// `text` lowercased with `str::to_lowercase`.
+    pub lower: String,
+    /// Length of `lower` in chars.
+    pub lower_chars: usize,
 }
 
-impl ColumnTextIndex {
-    fn build(col: usize, rows: &[Row]) -> Self {
-        let mut out = ColumnTextIndex::default();
-        out.extend(col, rows, 0);
-        out
-    }
-
-    /// Indexes the text cells of `rows[from..]` — exactly what a fresh build
-    /// does for the whole store, so incremental append maintenance is
-    /// state-identical to a rebuild by construction.
-    fn extend(&mut self, col: usize, rows: &[Row], from: usize) {
-        for (pos, row) in rows.iter().enumerate().skip(from) {
-            if let Value::Text(s) = &row[col] {
-                self.index.add_document(s.clone());
-                self.row_of.push(pos);
-            }
-        }
-    }
-
-    /// The underlying BM25 index (doc ids are dense text-row ordinals).
-    pub fn bm25(&self) -> &Bm25Index {
-        &self.index
-    }
-
-    /// Number of indexed documents (text cells).
-    pub fn len(&self) -> usize {
-        self.row_of.len()
-    }
-
-    /// True when the column holds no text cells.
-    pub fn is_empty(&self) -> bool {
-        self.row_of.is_empty()
-    }
-
-    /// Top-`k` BM25 search translated to `(row position, score)` pairs,
-    /// best first.
-    pub fn search(&self, query: &str, k: usize) -> Vec<(usize, f64)> {
-        self.index
-            .search(query, k)
-            .into_iter()
-            .map(|SearchHit { doc_id, score }| (self.row_of[doc_id], score))
-            .collect()
-    }
+/// The sampled values of one text column.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnSample {
+    /// Position of the column in the table schema.
+    pub column: usize,
+    /// The column's first [`VALUE_SAMPLE_SIZE`] distinct non-NULL values, in
+    /// first-seen order.
+    pub values: Vec<SampledValue>,
 }
 
-/// A cached per-column text index plus the table state it reflects.
-#[derive(Debug, Clone)]
-struct TextIndexEntry {
-    /// Table generation the index was last synchronized at.
-    built_at: u64,
-    /// Number of table rows consumed (text or not) when synchronized.
-    rows_seen: usize,
-    index: Arc<ColumnTextIndex>,
+/// A table's value sample ([`Table::value_sample`]): one [`ColumnSample`]
+/// per `Text` column, in schema order. Value retrieval scores question
+/// words against it instead of rescanning the rows for every question.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ValueSample {
+    columns: Vec<ColumnSample>,
+}
+
+impl ValueSample {
+    fn build(table: &Table) -> Self {
+        let columns = table
+            .schema
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.data_type == DataType::Text)
+            .map(|(column, _)| ColumnSample {
+                column,
+                values: table
+                    .distinct_cells(column, VALUE_SAMPLE_SIZE)
+                    .into_iter()
+                    .map(|v| {
+                        let text = v.render();
+                        let lower = text.to_lowercase();
+                        let lower_chars = lower.chars().count();
+                        SampledValue { text, lower, lower_chars }
+                    })
+                    .collect(),
+            })
+            .collect();
+        ValueSample { columns }
+    }
+
+    /// The sampled text columns, in schema order.
+    pub fn columns(&self) -> &[ColumnSample] {
+        &self.columns
+    }
 }
 
 /// An in-memory table: schema, row store, and (when the schema declares a
 /// single-column primary key) a hash index over that key, maintained
 /// incrementally on every mutation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
     /// Row store. Private so every mutation flows through [`Table::insert`],
     /// [`Table::update_rows`], or [`Table::delete_rows`], which keep the PK
-    /// hash index, the columnar snapshot, and the text indexes in sync; read
-    /// access is via [`Table::rows`].
+    /// hash index and the columnar snapshot in sync and drop the value
+    /// sample; read access is via [`Table::rows`].
     rows: Vec<Row>,
     pk_col: Option<usize>,
     pk_index: EqKeyMap,
@@ -558,10 +553,6 @@ pub struct Table {
     /// borrow, so a mutation path added without maintenance fails loudly
     /// instead of serving stale chunks.
     generation: u64,
-    /// Generation of the most recent *non-append* mutation (UPDATE/DELETE).
-    /// Text indexes built at or after this point can catch up by indexing
-    /// only appended rows; older ones must rebuild (BM25 has no removal).
-    reshaped_at: u64,
     /// Lazily built columnar snapshot of the row store, shared with every
     /// columnar scan ([`Table::columnar_chunks`]). Mutations maintain it
     /// *incrementally* when it exists — inserts re-transpose only the
@@ -572,27 +563,9 @@ pub struct Table {
     /// (database snapshots) shares the already-built chunks; they are
     /// immutable, so sharing is sound.
     chunks: OnceLock<(u64, Vec<Arc<DataChunk>>)>,
-    /// Lazily built BM25 indexes per text column ([`Table::text_index`]),
-    /// extended incrementally while mutations stay append-only and rebuilt
-    /// per column otherwise.
-    text_indexes: Mutex<HashMap<usize, TextIndexEntry>>,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            pk_col: self.pk_col,
-            pk_index: self.pk_index.clone(),
-            generation: self.generation,
-            reshaped_at: self.reshaped_at,
-            chunks: self.chunks.clone(),
-            // Entries hold Arc'd immutable indexes; sharing them is sound
-            // (each copy revalidates against its own generation).
-            text_indexes: Mutex::new(self.text_indexes.lock().clone()),
-        }
-    }
+    /// Lazily built value sample ([`Table::value_sample`]). Clones share it
+    /// as they share the chunks; every mutation entry point drops it.
+    value_sample: OnceLock<Arc<ValueSample>>,
 }
 
 impl Table {
@@ -612,9 +585,8 @@ impl Table {
             pk_col,
             pk_index: EqKeyMap::default(),
             generation: 0,
-            reshaped_at: 0,
             chunks: OnceLock::new(),
-            text_indexes: Mutex::new(HashMap::new()),
+            value_sample: OnceLock::new(),
         }
     }
 
@@ -636,6 +608,7 @@ impl Table {
         self.rows.push(row);
         self.generation += 1;
         self.rechunk_suffix(self.rows.len() - 1);
+        self.value_sample.take();
         Ok(())
     }
 
@@ -674,8 +647,8 @@ impl Table {
             self.rows[pos] = row;
         }
         self.generation += 1;
-        self.reshaped_at = self.generation;
         self.rechunk_at(&dirty);
+        self.value_sample.take();
         Ok(())
     }
 
@@ -724,8 +697,8 @@ impl Table {
         });
         self.pk_index.remap(&old_to_new);
         self.generation += 1;
-        self.reshaped_at = self.generation;
         self.rechunk_suffix(positions[0]);
+        self.value_sample.take();
         Ok(())
     }
 
@@ -773,44 +746,13 @@ impl Table {
         self.chunks = fresh;
     }
 
-    /// The BM25 text index over `column`, built lazily and cached per table
-    /// state. While the table only sees appends, a cached index catches up
-    /// by indexing just the appended rows (`add_document` is exactly how a
-    /// fresh build ingests, so the result is state-identical to a rebuild);
-    /// after an UPDATE/DELETE the column's index is rebuilt from scratch —
-    /// BM25 corpus statistics have no removal path, and a rebuild is the
-    /// only representation the differential oracle accepts.
-    pub fn text_index(&self, column: &str) -> SqlResult<Arc<ColumnTextIndex>> {
-        let col = self
-            .schema
-            .column_index(column)
-            .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", self.schema.name, column)))?;
-        let mut cache = self.text_indexes.lock();
-        if let Some(e) = cache.get_mut(&col) {
-            if e.built_at == self.generation {
-                return Ok(e.index.clone());
-            }
-            if e.built_at >= self.reshaped_at {
-                // Append-only since the index was built: extend a copy with
-                // the new rows and re-cache.
-                let mut idx = (*e.index).clone();
-                idx.extend(col, &self.rows, e.rows_seen);
-                e.index = Arc::new(idx);
-                e.built_at = self.generation;
-                e.rows_seen = self.rows.len();
-                return Ok(e.index.clone());
-            }
-        }
-        let built = Arc::new(ColumnTextIndex::build(col, &self.rows));
-        cache.insert(
-            col,
-            TextIndexEntry {
-                built_at: self.generation,
-                rows_seen: self.rows.len(),
-                index: built.clone(),
-            },
-        );
-        Ok(built)
+    /// The table's value sample: for each `Text` column, what
+    /// `distinct_values(column, VALUE_SAMPLE_SIZE)` returns, each value
+    /// rendered and lowercased. Built on first use and shared by every clone
+    /// of this table state, so all snapshots in which the table is untouched
+    /// share one; a mutation drops it, and the next call rebuilds it.
+    pub fn value_sample(&self) -> &Arc<ValueSample> {
+        self.value_sample.get_or_init(|| Arc::new(ValueSample::build(self)))
     }
 
     /// The table's mutation epoch — distinct values witness distinct row
@@ -879,21 +821,27 @@ impl Table {
             .schema
             .column_index(column)
             .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", self.schema.name, column)))?;
+        Ok(self.distinct_cells(idx, limit).into_iter().cloned().collect())
+    }
+
+    /// The distinct non-NULL cells of column `idx`, in first-seen order,
+    /// capped at `limit`.
+    fn distinct_cells(&self, idx: usize, limit: usize) -> Vec<&Value> {
         let mut seen = GroupKeyMap::default();
-        let mut out: Vec<Value> = Vec::new();
+        let mut out: Vec<&Value> = Vec::new();
         for row in &self.rows {
             let v = &row[idx];
             if v.is_null() {
                 continue;
             }
             if seen.insert_if_new(std::slice::from_ref(v)) {
-                out.push(v.clone());
+                out.push(v);
                 if out.len() >= limit {
                     break;
                 }
             }
         }
-        Ok(out)
+        out
     }
 }
 
@@ -1085,6 +1033,60 @@ mod tests {
         let after = t.columnar_chunks();
         assert_eq!(after[0].rows(), 2, "post-insert snapshot sees the new row");
         assert!(!Arc::ptr_eq(&before[0], &after[0]), "mutation discarded the cached snapshot");
+    }
+
+    #[test]
+    fn value_sample_holds_distinct_values_and_every_mutation_drops_it() {
+        let mut t = Table::new(TableSchema::new(
+            "branch",
+            vec![
+                ColumnDef::new("id", DataType::Integer).primary_key(),
+                ColumnDef::new("city", DataType::Text),
+                ColumnDef::new("opened", DataType::Date),
+                ColumnDef::new("note", DataType::Text),
+            ],
+        ));
+        let cities = ["Písek", "JESENÍK", "Písek", "İzmir"];
+        for (i, city) in cities.iter().enumerate() {
+            let note = if i == 1 { Value::Integer(7) } else { Value::Null };
+            t.insert(vec![(i as i64).into(), (*city).into(), "2020-01-01".into(), note]).unwrap();
+        }
+        let sample = t.value_sample().clone();
+        let columns: Vec<usize> = sample.columns().iter().map(|c| c.column).collect();
+        assert_eq!(columns, vec![1, 3], "one sample per text column, in schema order");
+        for c in sample.columns() {
+            let name = &t.schema.columns[c.column].name;
+            let expected: Vec<String> = t
+                .distinct_values(name, VALUE_SAMPLE_SIZE)
+                .unwrap()
+                .iter()
+                .map(Value::render)
+                .collect();
+            let texts: Vec<&String> = c.values.iter().map(|v| &v.text).collect();
+            assert_eq!(texts, expected.iter().collect::<Vec<_>>());
+            for v in &c.values {
+                assert_eq!(v.lower, v.text.to_lowercase());
+                assert_eq!(v.lower_chars, v.lower.chars().count());
+            }
+        }
+        assert_eq!(sample.columns()[0].values[2].lower_chars, 6, "'İ' lowercases to two chars");
+
+        let clone = t.clone();
+        assert!(Arc::ptr_eq(clone.value_sample(), &sample), "clones share the built sample");
+        let mutations: [fn(&mut Table); 3] = [
+            |t| t.insert(vec![9.into(), "Brno".into(), Value::Null, Value::Null]).unwrap(),
+            |t| {
+                t.update_rows(vec![(0, vec![0.into(), "Kolín".into(), Value::Null, Value::Null])])
+                    .unwrap()
+            },
+            |t| t.delete_rows(&[1]).unwrap(),
+        ];
+        for mutate in mutations {
+            let mut copy = clone.clone();
+            mutate(&mut copy);
+            assert!(!Arc::ptr_eq(copy.value_sample(), &sample), "a mutation drops the sample");
+            assert_eq!(**copy.value_sample(), ValueSample::build(&copy));
+        }
     }
 
     #[test]

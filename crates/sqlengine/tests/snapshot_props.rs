@@ -1,8 +1,8 @@
 //! Differential property tests for the versioned copy-on-write commit path.
 //!
 //! Every property pits the production commit path (`commit_statement`:
-//! clone-and-COW the touched table, maintain PK hash indexes, BM25 text
-//! indexes, and columnar chunks *incrementally*) against the naive reference
+//! clone-and-COW the touched table, maintain PK hash indexes and columnar
+//! chunks *incrementally*, drop the value sample) against the naive reference
 //! (`commit_statement_rebuild`: materialize the post-mutation rows and
 //! rebuild a fresh database, every index built from scratch). The two share
 //! one planning step, so any divergence is necessarily in the incremental
@@ -14,8 +14,10 @@
 //! * rendered rows of every table (order included);
 //! * primary-key hash-index probes for every key ever issued;
 //! * the columnar chunk representation, row by row;
-//! * BM25 `text_index` search results (doc positions *and* scores — the
-//!   incremental append must be state-identical to a fresh build);
+//! * the value sample of every table after every commit, built on the
+//!   pre-commit snapshot first so that the copy-on-write clone inherits a
+//!   built one: the touched table's must be rebuilt, every other table's
+//!   shared (`Arc::ptr_eq`);
 //! * query results of a battery in all three plan modes;
 //! * the snapshot version epoch and per-table dependency fingerprints.
 //!
@@ -27,12 +29,14 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use seed_sqlengine::{
     commit_statement, commit_statement_rebuild, execute_with_stats_mode, ColumnDef, DataType,
-    Database, PlanMode, PreparedStatement, TableSchema, Value,
+    Database, PlanMode, PreparedStatement, TableSchema, Value, ValueSample,
 };
 
-/// Word list for text cells: multi-token documents so BM25 indexes see
-/// realistic term-frequency/document-length variation, with shared tokens
-/// across words so searches actually rank.
+/// The tables of [`fresh_db`].
+const TABLES: [&str; 2] = ["t1", "t2"];
+
+/// Word list for text cells: multi-token values with shared tokens, so
+/// equality predicates, joins and grouping match several rows.
 const WORDS: &[&str] = &[
     "apple",
     "banana apple",
@@ -47,10 +51,10 @@ const WORDS: &[&str] = &[
 ];
 
 /// Two-table schema mirroring the columnar props suite: integer PK plus two
-/// text columns, so PK probes, BM25 indexes, and chunked scans all engage.
+/// text columns, so PK probes, value samples, and chunked scans all engage.
 fn fresh_db() -> Database {
     let mut db = Database::new("snap");
-    for name in ["t1", "t2"] {
+    for name in TABLES {
         db.create_table(TableSchema::new(
             name,
             vec![
@@ -142,18 +146,6 @@ fn assert_observably_identical(inc: &Database, reb: &Database, ids_issued: i64, 
                 );
             }
         }
-        // BM25: incremental append extension must be state-identical to a
-        // fresh build — positions and scores, not just the ranking.
-        for col in ["k", "v"] {
-            let (bi, br) = (ti.text_index(col).unwrap(), tr.text_index(col).unwrap());
-            for q in ["apple", "banana fox", "echo cherry", "touched"] {
-                assert_eq!(
-                    bi.search(q, 10),
-                    br.search(q, 10),
-                    "bm25 search {q:?} on {name}.{col} diverged: {ctx}"
-                );
-            }
-        }
     }
     // Fingerprints are the cache keys downstream layers use; equal tables
     // must fingerprint equally or caches would miss spuriously — but only
@@ -188,6 +180,8 @@ fn run_oracle_case(program: &str, case: usize) {
     for (step, c) in program.chars().enumerate() {
         let Some(sql) = decode_op(c, step, &mut next_id) else { continue };
         let ctx = format!("case {case} step {step} ({sql}) program {program:?}");
+        let samples_before: Vec<Arc<ValueSample>> =
+            TABLES.iter().map(|name| inc.table(name).unwrap().value_sample().clone()).collect();
         let oi = commit_statement(&inc, &sql).unwrap_or_else(|e| panic!("inc: {e}: {ctx}"));
         let or = commit_statement_rebuild(&reb, &sql).unwrap_or_else(|e| panic!("reb: {e}: {ctx}"));
         assert_eq!(oi.rows_affected, or.rows_affected, "rows_affected diverged: {ctx}");
@@ -196,12 +190,17 @@ fn run_oracle_case(program: &str, case: usize) {
         assert_eq!(rendered(&oi.result.rows), rendered(&or.result.rows), "result diverged: {ctx}");
         inc = oi.db;
         reb = or.db;
-        // Cheap per-step check; the deep one runs once per case.
-        for name in ["t1", "t2"] {
+        // Cheap per-step checks; the deep one runs once per case.
+        for (name, before) in TABLES.iter().zip(&samples_before) {
+            let (ti, tr) = (inc.table(name).unwrap(), reb.table(name).unwrap());
+            assert_eq!(rendered(ti.rows()), rendered(tr.rows()), "rows diverged in {name}: {ctx}");
+            let sample = ti.value_sample();
+            assert_eq!(**sample, **tr.value_sample(), "value sample diverged in {name}: {ctx}");
+            let touched = *name == oi.table && oi.rows_affected > 0;
             assert_eq!(
-                rendered(inc.table(name).unwrap().rows()),
-                rendered(reb.table(name).unwrap().rows()),
-                "rows diverged in {name}: {ctx}"
+                Arc::ptr_eq(sample, before),
+                !touched,
+                "{name}'s value sample must be rebuilt iff the commit touched it: {ctx}"
             );
         }
     }
@@ -280,8 +279,9 @@ proptest! {
     }
 
     /// COW granularity and cache-key semantics per commit: the touched
-    /// table is a fresh `Arc` with a flipped dependency fingerprint; every
-    /// untouched table stays pointer-shared with an unchanged fingerprint
+    /// table is a fresh `Arc` with a flipped dependency fingerprint and a
+    /// rebuilt value sample; every untouched table stays pointer-shared,
+    /// value sample included, with an unchanged fingerprint
     /// (so version-keyed cache entries for untouched tables keep hitting
     /// across snapshots, while touched-table entries miss).
     #[test]
@@ -310,15 +310,27 @@ proptest! {
                     db.table_arc(&name).unwrap(),
                     next.table_arc(&name).unwrap(),
                 );
+                let sample_shared = Arc::ptr_eq(
+                    db.table(&name).unwrap().value_sample(),
+                    next.table(&name).unwrap().value_sample(),
+                );
                 let fp_after = next.dependency_fingerprint(std::slice::from_ref(&name));
                 if name == outcome.table && outcome.rows_affected > 0 {
                     prop_assert!(!shared, "touched table {} must be COW-cloned ({})", name, sql);
+                    prop_assert!(
+                        !sample_shared,
+                        "touched table {} must rebuild its value sample ({})", name, sql
+                    );
                     prop_assert_ne!(
                         fp, fp_after,
                         "touched table {} must flip its fingerprint ({})", name, sql
                     );
                 } else {
                     prop_assert!(shared, "untouched table {} must stay shared ({})", name, sql);
+                    prop_assert!(
+                        sample_shared,
+                        "untouched table {} must share its value sample ({})", name, sql
+                    );
                     prop_assert_eq!(
                         fp, fp_after,
                         "untouched table {} must keep its fingerprint ({})", name, sql
