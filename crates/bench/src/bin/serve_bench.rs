@@ -46,7 +46,7 @@ use rand::SeedableRng;
 use seed_bench::corpus_config;
 use seed_datasets::{bird::build_bird, spider::build_spider, Benchmark};
 use seed_serve::{ServeConfig, Server};
-use seed_sqlengine::{execute_with_stats, Database, ResultSet};
+use seed_sqlengine::{execute, execute_with_stats_mode, Database, PlanMode, ResultSet};
 
 /// How often each distinct statement repeats in the repeated workload (an
 /// eval run executes each gold query once per system x setting
@@ -128,8 +128,8 @@ fn workloads(bench: &Benchmark, variant: Variant) -> Vec<DbWorkload> {
                     let mut by_cost: Vec<(&str, f64)> = uniques
                         .iter()
                         .map(|sql| {
-                            let (_, stats) =
-                                execute_with_stats(db, sql).expect("gold query executes");
+                            let (_, stats) = execute_with_stats_mode(db, sql, PlanMode::serving())
+                                .expect("gold query executes");
                             (*sql, stats.cost())
                         })
                         .collect();
@@ -163,7 +163,7 @@ fn run_baseline(loads: &[DbWorkload]) -> (f64, Vec<Vec<ResultSet>>) {
             .map(|w| {
                 w.stmts
                     .iter()
-                    .map(|sql| execute_with_stats(&w.db, sql).expect("gold query executes").0)
+                    .map(|sql| execute(&w.db, sql).expect("gold query executes"))
                     .collect()
             })
             .collect();

@@ -64,7 +64,7 @@ pub fn evaluate_pair_cached(
     gold_sql: &str,
     pred_sql: &str,
 ) -> (PairEval, ExecStats) {
-    evaluate_pair_impl(|sql| plans.execute(db, sql, PlanMode::serving()), gold_sql, pred_sql)
+    evaluate_pair_impl(|sql| plans.execute(db, sql), gold_sql, pred_sql)
 }
 
 fn evaluate_pair_impl(

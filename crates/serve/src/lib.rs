@@ -155,8 +155,8 @@ use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use seed_sqlengine::{
-    commit_statement, is_write_statement, Database, ExecStats, MutationKind, PlanMode,
-    PreparedStatement, QueryProfile, ResultSet, SharedPlanCache, SqlError, SqlResult,
+    commit_statement, is_write_statement, Database, ExecStats, MutationKind, PreparedStatement,
+    QueryProfile, ResultSet, SharedPlanCache, SqlError, SqlResult,
 };
 
 pub mod metrics;
@@ -178,12 +178,6 @@ pub struct ServeConfig {
     /// everywhere — [`Server::new`] and batch admission both clamp, so a
     /// zero written via a struct literal can never reach the pool.
     pub workers: usize,
-    /// Plan mode every statement executes under. Defaults to
-    /// [`PlanMode::serving`] — the vectorized columnar pipeline, which
-    /// executes the same physical plans as [`PlanMode::Optimized`] (so
-    /// plan-cache sharing and result identity are unaffected) but moves
-    /// data in batches.
-    pub mode: PlanMode,
     /// Serve repeated statements from the shared result cache and dedup
     /// concurrent executions of the same statement. Sound because the
     /// snapshot is frozen for the server's lifetime; disable only to
@@ -222,7 +216,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            mode: PlanMode::serving(),
             cache_results: true,
             result_cache_cap: 1024,
             oversubscribe: false,
@@ -268,7 +261,7 @@ impl ServeConfig {
 /// The outcome of one served statement.
 #[derive(Debug, Clone)]
 pub struct StatementOutcome {
-    /// The rows, exactly as a direct `execute_with_stats` would produce.
+    /// The rows, exactly as a direct `execute` would produce.
     pub result: ResultSet,
     /// Execution statistics. For a result-cache hit these are the cached
     /// execution's stats (the work the statement costs), keeping VES-style
@@ -315,8 +308,7 @@ pub struct SlowQuery {
     /// The execution's deterministic [`ExecStats::cost`], for correlating
     /// measured time against modeled work.
     pub cost: f64,
-    /// The statement's rendered physical plan (`EXPLAIN` text) under the
-    /// server's plan mode.
+    /// The statement's rendered physical plan (`EXPLAIN` text).
     pub plan: String,
     /// The per-operator wall-clock profile of the recorded execution.
     pub profile: String,
@@ -644,7 +636,7 @@ impl ServerCore {
         if self.results.stripe_cap == 0 {
             // Caching (and dedup) off: the known-miss path does no cache
             // round-trips at all.
-            let (result, stats) = self.plans.execute(db, sql, self.config.mode)?;
+            let (result, stats) = self.plans.execute(db, sql)?;
             return Ok(StatementOutcome { result, stats, from_result_cache: false });
         }
         // The cache key's data-dependency half: the versions (generations)
@@ -715,7 +707,7 @@ impl ServerCore {
         // Canonical executions run under the per-operator profiler: rows
         // and stats are bit-identical to an unprofiled run, and the profile
         // is what the slow-query log records.
-        let executed = prepared.execute_profiled(db, self.config.mode);
+        let executed = prepared.execute_profiled(db);
         let shard = &self.results.shards[idx];
         let published = match &executed {
             Ok((result, stats, _profile)) => {
@@ -805,9 +797,7 @@ impl ServerCore {
         }
         // Slow path only: re-rendering the plan replays the shared plan
         // cache, so no statement is ever re-planned for the log.
-        let plan = prepared
-            .explain(db, self.config.mode)
-            .unwrap_or_else(|e| format!("(plan unavailable: {e})"));
+        let plan = prepared.explain(db).unwrap_or_else(|e| format!("(plan unavailable: {e})"));
         self.slow_log.record(SlowQuery {
             sql: sql.to_string(),
             nanos: profile.total_nanos,
@@ -1318,7 +1308,7 @@ impl Session<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seed_sqlengine::{execute_statement, execute_with_stats, execute_with_stats_mode, Value};
+    use seed_sqlengine::{execute, execute_statement, execute_with_stats_mode, PlanMode, Value};
 
     fn snapshot() -> Arc<Database> {
         let mut db = Database::new("serve_test");
@@ -1387,10 +1377,10 @@ mod tests {
             assert_eq!(outcomes.len(), stmts.len());
             for (sql, outcome) in stmts.iter().zip(&outcomes) {
                 let o = outcome.as_ref().unwrap();
-                // Rows match direct execution in *any* mode (row-identity is
-                // mode-independent); costs are compared in the server's own
-                // serving mode, since counters are per-mode deterministic.
-                let (direct, _) = execute_with_stats(&db, sql).unwrap();
+                // Rows match the nested-loop oracle; costs match a direct
+                // execution in the serving mode, since counters are
+                // per-mode deterministic.
+                let (direct, _) = execute_with_stats_mode(&db, sql, PlanMode::NestedLoop).unwrap();
                 let (_, serving_stats) =
                     execute_with_stats_mode(&db, sql, PlanMode::serving()).unwrap();
                 assert_eq!(o.result.rows, direct.rows, "workers={workers} sql={sql}");
@@ -1522,7 +1512,7 @@ mod tests {
         assert_eq!(server.result_cache_evictions(), 2);
         // Correctness is cache-independent: the re-executed statement
         // returns the same rows it did before eviction.
-        let before = execute_with_stats(&server.database(), b).unwrap().0;
+        let before = execute(&server.database(), b).unwrap();
         assert_eq!(server.execute(b).unwrap().result.rows, before.rows);
     }
 

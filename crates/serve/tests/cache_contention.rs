@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use seed_serve::{ServeConfig, Server};
-use seed_sqlengine::{execute_statement, execute_with_stats, Database};
+use seed_sqlengine::{execute, execute_statement, Database};
 
 fn snapshot() -> Arc<Database> {
     let mut db = Database::new("contention_test");
@@ -43,7 +43,7 @@ fn hammer(server: &Server, stmts: &[String], rounds: usize) {
                         // Different threads visit in different orders.
                         let sql = &stmts[(i * (t + 1) + r) % stmts.len()];
                         let outcome = server.execute(sql).unwrap();
-                        let (direct, _) = execute_with_stats(&server.database(), sql).unwrap();
+                        let direct = execute(&server.database(), sql).unwrap();
                         assert_eq!(outcome.result.rows, direct.rows, "{sql}");
                         for (stripe, len) in server.result_cache_shard_lens().iter().enumerate() {
                             assert!(

@@ -1,22 +1,22 @@
-//! Vectorized execution ([`crate::PlanMode::Columnar`]): the physical plans
-//! of the optimized mode, executed over [`DataChunk`] batches instead of one
-//! row at a time.
+//! Vectorized execution ([`crate::PlanMode::Columnar`], the production
+//! executor): the physical plans of [`crate::plan`], executed over
+//! [`DataChunk`] batches instead of one row at a time.
 //!
 //! ## Design
 //!
-//! The columnar pipeline reuses the planner verbatim — it executes the same
-//! [`PlanNode`] tree `PlanMode::Optimized` would — and replaces the *data
-//! movement*: scans produce column arrays, filters refine a [`SelChunk`]
-//! selection vector over shared chunks (a conjunction of predicates fuses
-//! into one selection; survivors are gathered only at pipeline boundaries or
-//! below the [`crate::chunk::SELECTION_COMPACT_DENOM`] selectivity
-//! threshold), hash joins build and probe over compacted column slices, and
-//! grouping folds batch-computed group ids into typed per-aggregate
-//! accumulators (`AggAcc`). Everything the batch layer cannot express
-//! (subqueries, outer-scope references, ambiguous columns, nested
-//! aggregates) falls back *per operator* to the row machinery in
-//! [`crate::exec`], which is shared verbatim with the other two modes — one
-//! row-evaluated predicate or projection no longer demotes the rest of the
+//! The columnar pipeline executes the planner's [`PlanNode`] tree verbatim
+//! and owns the *data movement*: scans produce column arrays, filters
+//! refine a [`SelChunk`] selection vector over shared chunks (a conjunction
+//! of predicates fuses into one selection; survivors are gathered only at
+//! pipeline boundaries or below the
+//! [`crate::chunk::SELECTION_COMPACT_DENOM`] selectivity threshold), hash
+//! joins build and probe over compacted column slices, and grouping folds
+//! batch-computed group ids into typed per-aggregate accumulators
+//! (`AggAcc`). Everything the batch layer cannot express (subqueries,
+//! outer-scope references, ambiguous columns, nested aggregates, non-equi
+//! joins) falls back *per operator* to the row machinery in
+//! [`crate::exec`], which the nested-loop oracle runs too — one
+//! row-evaluated predicate or projection never demotes the rest of the
 //! statement. `columnar_fallbacks` in [`crate::ExecStats`] counts each
 //! row-bridged operator, and `columnar_partial` counts statements that mixed
 //! batch and row evaluation.
@@ -31,7 +31,7 @@
 //!
 //! ## Semantics contract
 //!
-//! Results must be row-identical to both `PlanMode::Optimized` and the
+//! Results must be row-identical, in row order, to the
 //! `PlanMode::NestedLoop` oracle, NULL and NaN included. The batch kernels
 //! therefore reproduce [`Value::sql_cmp`] / [`Value::arith`] /
 //! [`Value::to_truth`] cell for cell — including the deliberate quirks:
@@ -1021,10 +1021,9 @@ impl<'a> Executor<'a> {
         self.stats.batch_rows += chunks.iter().map(|c| c.live_rows() as u64).sum::<u64>();
     }
 
-    /// Executes one physical operator columnar-natively, producing the same
-    /// layout and (flattened, live) rows as [`Executor::exec_plan_node`]
-    /// with identical `rows_scanned` / `index_lookups` / `hash_*`
-    /// accounting. Outputs carry selection vectors: scans emit all-live
+    /// Executes one physical operator columnar-natively, counting
+    /// `rows_scanned` / `index_lookups` / `hash_*` per operator. Outputs
+    /// carry selection vectors: scans emit all-live
     /// chunks, pushed-down filters refine selections, and joins — a
     /// pipeline boundary — compact their inputs before build/probe and emit
     /// all-live chunks again.
@@ -1036,9 +1035,8 @@ impl<'a> Executor<'a> {
         if self.profiler.is_none() {
             return self.exec_plan_node_columnar_inner(node, outer);
         }
-        // Inclusive timing, same keying as the row path: children recurse
-        // back through this wrapper, and `EXPLAIN ANALYZE` looks entries up
-        // by plan-node address.
+        // Inclusive timing: children recurse back through this wrapper, and
+        // `EXPLAIN ANALYZE` looks entries up by plan-node address.
         let started = std::time::Instant::now();
         let result = self.exec_plan_node_columnar_inner(node, outer);
         let nanos = started.elapsed().as_nanos() as u64;
@@ -1160,7 +1158,7 @@ impl<'a> Executor<'a> {
                 for lchunk in &lchunks {
                     // Probe: gather candidate (left, right) pairs — left rows
                     // in chunk order, each row's right matches in build-scan
-                    // order, exactly the row path's emission order.
+                    // order, exactly the nested loop's emission order.
                     let lkey = &lchunk.columns[*left_key];
                     let mut cand_l: Vec<usize> = Vec::new();
                     let mut cand_r: Vec<usize> = Vec::new();
@@ -1282,7 +1280,7 @@ impl<'a> Executor<'a> {
     /// FROM/JOIN/WHERE for the columnar mode: the optimizer's physical plan,
     /// executed over batches, then the WHERE remnant applied conjunct by
     /// conjunct (each conjunct only ever sees the survivors of the previous
-    /// one — the same evaluation set as the row path's short-circuit loop).
+    /// one — the same evaluation set as a row-at-a-time short-circuit loop).
     fn columnar_from_where(
         &mut self,
         stmt: &SelectStatement,
@@ -1293,8 +1291,8 @@ impl<'a> Executor<'a> {
             Some(node) => self.exec_plan_node_columnar(node, outer)?,
             None => (Vec::new(), vec![SelChunk::all(Arc::new(DataChunk::unit(1)))]),
         };
-        // The row path counts every post-join row as scanned when applying
-        // the remnant; mirror that before filtering.
+        // Every post-join row counts as scanned when the remnant applies,
+        // as the oracle counts every row its WHERE filters.
         self.stats.rows_scanned += chunks.iter().map(|c| c.live_rows() as u64).sum::<u64>();
         for pred in &plan.where_remnant {
             chunks = self.filter_chunks(chunks, &cols, pred, outer)?;

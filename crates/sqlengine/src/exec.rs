@@ -1,14 +1,17 @@
-//! Query execution: the operator runtime behind every `SELECT`.
+//! Query execution: the entry points behind every statement, and the row
+//! machinery both executors share.
 //!
 //! An executor runs one top-level statement against a borrowed
-//! [`Database`] snapshot. The FROM/JOIN/WHERE section executes either
-//! through the physical plan ([`PlanMode::Optimized`]: hash equi-joins, PK
-//! point lookups, predicate pushdown — see [`crate::plan`]) or through the
-//! legacy cross-product path ([`PlanMode::NestedLoop`]), which is kept
-//! verbatim as the semantic reference the conformance suites compare
-//! against. Projection, grouping ([`GroupKeyMap`]-hashed), `HAVING`,
-//! `DISTINCT`, `ORDER BY`, and `LIMIT`/`OFFSET` then run identically for
-//! both modes.
+//! [`Database`] snapshot. [`PlanMode::Columnar`], the production executor,
+//! runs the physical plan (hash equi-joins, PK point lookups, predicate
+//! pushdown — see [`crate::plan`]) over column batches in
+//! [`crate::columnar`]. [`PlanMode::NestedLoop`] runs the legacy
+//! cross-product path here, kept verbatim as the semantic reference the
+//! conformance suites compare against. This module also holds what the
+//! columnar pipeline bridges to per operator: expression evaluation,
+//! aggregates, the nested-loop join, and the row tail (projection,
+//! [`GroupKeyMap`]-hashed grouping, `HAVING`, `DISTINCT`, `ORDER BY`,
+//! `LIMIT`/`OFFSET`) that the oracle runs for every statement.
 //!
 //! ## Subquery strategy
 //!
@@ -44,28 +47,25 @@ use crate::decorrelate::{
 };
 use crate::error::{SqlError, SqlResult};
 use crate::functions::eval_scalar_function;
-use crate::plan::{expand_projections, is_uncorrelated, PlanCache, PlanMode, PlanNode};
+use crate::plan::{expand_projections, is_uncorrelated, PlanCache, PlanMode};
 use crate::profile::{Profiler, QueryProfile};
 use crate::result::{ExecStats, ResultSet};
-use crate::schema::{ColumnDef, DataType, ForeignKey, TableSchema};
+use crate::schema::DataType;
 use crate::storage::{Database, EqKeyMap, GroupKeyMap};
 use crate::value::{like_match, Truth, Value};
 
-/// Executes a SQL string against a database, returning the result rows.
+/// Executes a SQL string against a database under the production
+/// executor, returning the result rows.
 pub fn execute(db: &Database, sql: &str) -> SqlResult<ResultSet> {
-    execute_with_stats(db, sql).map(|(rs, _)| rs)
+    execute_with_stats_mode(db, sql, PlanMode::default()).map(|(rs, _)| rs)
 }
 
-/// Executes a SQL string and also reports deterministic execution statistics
-/// (the cost proxy used by the VES metric).
-pub fn execute_with_stats(db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_with_stats_mode(db, sql, PlanMode::default())
-}
-
-/// Executes a SQL string under an explicit plan mode. `EXPLAIN [ANALYZE]`
-/// is accepted here too (it is read-only, like SELECT): the rendering comes
-/// back as the result set and the reported stats stay at their default —
-/// explaining a statement must never perturb cost accounting.
+/// Executes a SQL string under an explicit plan mode and also reports
+/// deterministic execution statistics (the cost proxy used by the VES
+/// metric). `EXPLAIN [ANALYZE]` is accepted here too (it is read-only, like
+/// SELECT): the rendering comes back as the result set and the reported
+/// stats stay at their default — explaining a statement must never perturb
+/// cost accounting.
 pub fn execute_with_stats_mode(
     db: &Database,
     sql: &str,
@@ -75,35 +75,13 @@ pub fn execute_with_stats_mode(
         Statement::Explain(ex) => {
             Ok((crate::explain::explain_statement(db, &ex, mode)?, ExecStats::default()))
         }
-        Statement::Select(stmt) => execute_select_with_stats_mode(db, &stmt, mode),
+        Statement::Select(stmt) => {
+            let (rs, stats, _) =
+                execute_select_with_plan_cache(db, &stmt, mode, PlanCache::default())?;
+            Ok((rs, stats))
+        }
         other => Err(SqlError::Parse(format!("expected SELECT, parsed {other:?}"))),
     }
-}
-
-/// Executes an already-parsed SELECT statement.
-pub fn execute_select(db: &Database, stmt: &SelectStatement) -> SqlResult<ResultSet> {
-    execute_select_with_stats(db, stmt).map(|(rs, _)| rs)
-}
-
-/// Executes an already-parsed SELECT with statistics.
-pub fn execute_select_with_stats(
-    db: &Database,
-    stmt: &SelectStatement,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    execute_select_with_stats_mode(db, stmt, PlanMode::default())
-}
-
-/// Executes an already-parsed SELECT under an explicit plan mode. Subqueries
-/// inherit the mode, so `PlanMode::Optimized` routes every nesting level
-/// through the physical planner and `PlanMode::NestedLoop` reproduces the
-/// legacy executor end to end.
-pub fn execute_select_with_stats_mode(
-    db: &Database,
-    stmt: &SelectStatement,
-    mode: PlanMode,
-) -> SqlResult<(ResultSet, ExecStats)> {
-    let (rs, stats, _) = execute_select_with_plan_cache(db, stmt, mode, PlanCache::default())?;
-    Ok((rs, stats))
 }
 
 /// Executes an already-parsed SELECT with an externally provided plan cache,
@@ -150,74 +128,27 @@ pub fn execute_select_profiled(
 }
 
 /// Executes any supported statement, applying DDL/DML to the database.
+///
+/// Writes go through the commit planner ([`crate::mutate::plan_mutation`]
+/// and [`crate::mutate::apply_planned`]) and replace `db` only when the
+/// whole statement succeeds: a failing row (arity, evaluation error, key
+/// collision) leaves `db` as it was.
 pub fn execute_statement(db: &mut Database, sql: &str) -> SqlResult<ResultSet> {
     let stmt = crate::parser::parse_statement(sql)?;
     match stmt {
-        Statement::Select(s) => execute_select(db, &s),
-        Statement::CreateTable(ct) => {
-            let columns: Vec<ColumnDef> = ct
-                .columns
-                .iter()
-                .map(|(name, ty, pk)| {
-                    let mut c = ColumnDef::new(name.clone(), *ty);
-                    if *pk {
-                        c = c.primary_key();
-                    }
-                    c
-                })
-                .collect();
-            db.create_table(TableSchema::new(ct.name.clone(), columns))?;
-            for (from_col, to_table, to_col) in ct.foreign_keys {
-                db.add_foreign_key(ForeignKey {
-                    from_table: ct.name.clone(),
-                    from_column: from_col,
-                    to_table,
-                    to_column: to_col,
-                });
-            }
-            Ok(ResultSet::new(vec![]))
+        Statement::Select(s) => {
+            Ok(execute_select_with_plan_cache(db, &s, PlanMode::default(), PlanCache::default())?.0)
         }
-        Statement::Insert(ins) => {
-            let schema = db.table(&ins.table)?.schema.clone();
-            let positions: Vec<usize> = if ins.columns.is_empty() {
-                (0..schema.columns.len()).collect()
-            } else {
-                ins.columns
-                    .iter()
-                    .map(|c| {
-                        schema
-                            .column_index(c)
-                            .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", ins.table, c)))
-                    })
-                    .collect::<SqlResult<Vec<_>>>()?
-            };
-            let mut count = 0usize;
-            for row_exprs in &ins.rows {
-                if row_exprs.len() != positions.len() {
-                    return Err(SqlError::Schema("INSERT arity mismatch".into()));
-                }
-                let mut row = vec![Value::Null; schema.columns.len()];
-                for (expr, &pos) in row_exprs.iter().zip(&positions) {
-                    let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
-                    let scope = Scope { cols: &[], row: &[], parent: None };
-                    row[pos] = exec.eval(expr, &scope, None)?;
-                }
-                db.insert(&ins.table, row)?;
-                count += 1;
-            }
-            let mut rs = ResultSet::new(vec!["rows_inserted".into()]);
-            rs.rows.push(vec![Value::Integer(count as i64)]);
-            Ok(rs)
-        }
-        Statement::Update(_) | Statement::Delete(_) => {
-            // Plan against the current state, then apply in place through
-            // the same table-level maintenance the commit path uses.
+        Statement::Explain(ex) => crate::explain::explain_statement(db, &ex, PlanMode::default()),
+        Statement::CreateTable(_)
+        | Statement::Insert(_)
+        | Statement::Update(_)
+        | Statement::Delete(_) => {
             let planned = crate::mutate::plan_mutation(db, &stmt)?;
             let outcome = crate::mutate::apply_planned(db, planned)?;
             *db = outcome.db;
             Ok(outcome.result)
         }
-        Statement::Explain(ex) => crate::explain::explain_statement(db, &ex, PlanMode::default()),
     }
 }
 
@@ -357,9 +288,9 @@ impl<'a> Executor<'a> {
     /// ones execute once and replay from the result cache afterwards, with
     /// hits/misses reported in [`ExecStats`].
     ///
-    /// The cache only engages in [`PlanMode::Optimized`]: the nested-loop
+    /// The cache only engages in [`PlanMode::Columnar`]: the nested-loop
     /// mode is the independent semantic reference the conformance suite
-    /// compares optimized execution against, so it must keep re-executing
+    /// compares columnar execution against, so it must keep re-executing
     /// per outer row — otherwise a defect in the [`is_uncorrelated`]
     /// analysis would bend both sides identically and become invisible.
     fn run_expr_subquery(
@@ -550,22 +481,22 @@ impl<'a> Executor<'a> {
         stmt: &SelectStatement,
         outer: Option<&Scope<'_>>,
     ) -> SqlResult<ResultSet> {
-        // 1–2. FROM / JOIN / WHERE, by physical plan, by the legacy
-        // nested-loop reference path, or by the vectorized pipeline (which
-        // owns its whole statement flow and only calls back into
-        // `run_select_tail` when it falls back to rows).
-        let (rel, filtered) = match self.mode {
-            PlanMode::Optimized => self.run_from_where_planned(stmt, outer)?,
-            PlanMode::NestedLoop => self.run_from_where_legacy(stmt, outer)?,
-            PlanMode::Columnar => return self.run_select_columnar(stmt, outer),
-        };
-        self.run_select_tail(stmt, &rel.cols, filtered, outer)
+        // The vectorized pipeline owns its whole statement flow and calls
+        // back into `run_select_tail` only when it falls back to rows; the
+        // oracle runs the legacy FROM / JOIN / WHERE, then the row tail.
+        match self.mode {
+            PlanMode::Columnar => self.run_select_columnar(stmt, outer),
+            PlanMode::NestedLoop => {
+                let (rel, filtered) = self.run_from_where_legacy(stmt, outer)?;
+                self.run_select_tail(stmt, &rel.cols, filtered, outer)
+            }
+        }
     }
 
     /// Stages 3–6 of `SELECT` execution — projection, grouping, `HAVING`,
     /// `DISTINCT`, `ORDER BY`, `LIMIT`/`OFFSET` — over an already-filtered
-    /// row relation. Shared verbatim by all plan modes; the columnar
-    /// pipeline routes through it whenever it falls back to rows, so
+    /// row relation. The nested-loop oracle runs it for every statement; the
+    /// columnar pipeline routes through it whenever it falls back to rows, so
     /// fallback semantics are the row path's by construction.
     pub(crate) fn run_select_tail(
         &mut self,
@@ -732,199 +663,6 @@ impl<'a> Executor<'a> {
             }
         }
         Ok((rel, keep))
-    }
-
-    /// Planner-driven FROM/JOIN/WHERE: lowers the statement to a physical
-    /// plan (or replays the cached plan when this statement has executed
-    /// before — correlated subqueries hit this on every outer row after the
-    /// first), executes the operator tree, then applies the post-join
-    /// residue of the WHERE clause.
-    fn run_from_where_planned(
-        &mut self,
-        stmt: &SelectStatement,
-        outer: Option<&Scope<'_>>,
-    ) -> SqlResult<(Rel, Vec<Vec<Value>>)> {
-        let plan = self.plans.get_or_plan(self.db, stmt, &mut self.stats)?;
-        let mut rel = match &plan.root {
-            Some(node) => self.exec_plan_node(node, outer)?,
-            None => Rel { cols: vec![], rows: vec![vec![]] },
-        };
-        let mut keep = Vec::new();
-        for row in std::mem::take(&mut rel.rows) {
-            self.stats.rows_scanned += 1;
-            let mut ok = true;
-            for pred in &plan.where_remnant {
-                let scope = Scope { cols: &rel.cols, row: &row, parent: outer };
-                if !self.eval(pred, &scope, None)?.to_truth().is_true() {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                keep.push(row);
-            }
-        }
-        Ok((rel, keep))
-    }
-
-    /// Executes one physical operator, producing a materialized relation.
-    ///
-    /// When a profiler is installed, the invocation is timed inclusively
-    /// (children recurse back through this wrapper) and recorded under the
-    /// node's address — the same key `EXPLAIN ANALYZE` uses to attach
-    /// measurements to rendered plan lines.
-    fn exec_plan_node(&mut self, node: &PlanNode, outer: Option<&Scope<'_>>) -> SqlResult<Rel> {
-        if self.profiler.is_none() {
-            return self.exec_plan_node_inner(node, outer);
-        }
-        let started = std::time::Instant::now();
-        let result = self.exec_plan_node_inner(node, outer);
-        let nanos = started.elapsed().as_nanos() as u64;
-        let rows_out = result.as_ref().map(|rel| rel.rows.len() as u64).unwrap_or(0);
-        if let Some(p) = self.profiler.as_mut() {
-            p.record(
-                node as *const PlanNode as usize,
-                || crate::plan::node_label(node),
-                rows_out,
-                0,
-                nanos,
-            );
-        }
-        result
-    }
-
-    fn exec_plan_node_inner(
-        &mut self,
-        node: &PlanNode,
-        outer: Option<&Scope<'_>>,
-    ) -> SqlResult<Rel> {
-        match node {
-            PlanNode::SeqScan { table, quals, pushed, lookup } => {
-                let t = self.db.table(table)?;
-                let cols: Vec<ColInfo> = t
-                    .schema
-                    .columns
-                    .iter()
-                    .map(|c| ColInfo { quals: quals.clone(), name: c.name.clone() })
-                    .collect();
-                // Fetch candidates: PK index when planned, full scan otherwise.
-                let candidates: Vec<Vec<Value>> = match lookup {
-                    Some(l) => match t.pk_lookup(&l.value) {
-                        Some(row_ids) => {
-                            self.stats.index_lookups += 1;
-                            self.stats.rows_scanned += row_ids.len() as u64;
-                            row_ids.iter().map(|&i| t.rows()[i].clone()).collect()
-                        }
-                        None => {
-                            self.stats.rows_scanned += t.rows().len() as u64;
-                            t.rows().to_vec()
-                        }
-                    },
-                    None => {
-                        self.stats.rows_scanned += t.rows().len() as u64;
-                        t.rows().to_vec()
-                    }
-                };
-                let rows = self.filter_rows(candidates, &cols, pushed, outer)?;
-                Ok(Rel { cols, rows })
-            }
-            PlanNode::SubqueryScan { query, alias, pushed } => {
-                let rs = self.run_select(query, outer)?;
-                let quals = vec![alias.to_ascii_lowercase()];
-                let cols: Vec<ColInfo> = rs
-                    .columns
-                    .iter()
-                    .map(|c| ColInfo { quals: quals.clone(), name: c.clone() })
-                    .collect();
-                let rows = self.filter_rows(rs.rows, &cols, pushed, outer)?;
-                Ok(Rel { cols, rows })
-            }
-            PlanNode::HashJoin { left, right, kind, left_key, right_key, on } => {
-                let left = self.exec_plan_node(left, outer)?;
-                let right = self.exec_plan_node(right, outer)?;
-                let mut cols = left.cols.clone();
-                cols.extend(right.cols.clone());
-                let right_width = right.cols.len();
-
-                // Build phase over the right input's key column.
-                let mut index = EqKeyMap::default();
-                for (i, rrow) in right.rows.iter().enumerate() {
-                    index.insert(&rrow[*right_key], i);
-                }
-                self.stats.hash_build_rows += right.rows.len() as u64;
-
-                // Probe phase: each left row fetches its sql_cmp-equal
-                // candidates (in right-scan order, so output ordering
-                // matches the nested-loop reference), then re-checks the
-                // full ON predicate.
-                let mut rows = Vec::new();
-                for lrow in &left.rows {
-                    self.stats.hash_probes += 1;
-                    let mut matched = false;
-                    for &ridx in index.probe(&lrow[*left_key]).iter() {
-                        let mut combined = lrow.clone();
-                        combined.extend(right.rows[ridx].iter().cloned());
-                        let ok = match on {
-                            None => true,
-                            Some(pred) => {
-                                let scope = Scope { cols: &cols, row: &combined, parent: outer };
-                                self.eval(pred, &scope, None)?.to_truth().is_true()
-                            }
-                        };
-                        if ok {
-                            matched = true;
-                            rows.push(combined);
-                        }
-                    }
-                    if !matched && *kind == JoinKind::Left {
-                        let mut combined = lrow.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, right_width));
-                        rows.push(combined);
-                    }
-                }
-                Ok(Rel { cols, rows })
-            }
-            PlanNode::NestedLoopJoin { left, right, kind, on } => {
-                let left = self.exec_plan_node(left, outer)?;
-                let right = self.exec_plan_node(right, outer)?;
-                let join = Join {
-                    kind: *kind,
-                    // The table reference is irrelevant to `join`; only the
-                    // predicate and kind drive pairing.
-                    table: TableRef::Named { table: String::new(), alias: None },
-                    on: on.clone(),
-                };
-                self.join(left, right, &join, outer)
-            }
-        }
-    }
-
-    /// Keeps the rows for which every pushed predicate is true.
-    fn filter_rows(
-        &mut self,
-        rows: Vec<Vec<Value>>,
-        cols: &[ColInfo],
-        pushed: &[Expr],
-        outer: Option<&Scope<'_>>,
-    ) -> SqlResult<Vec<Vec<Value>>> {
-        if pushed.is_empty() {
-            return Ok(rows);
-        }
-        let mut keep = Vec::new();
-        for row in rows {
-            let mut ok = true;
-            for pred in pushed {
-                let scope = Scope { cols, row: &row, parent: outer };
-                if !self.eval(pred, &scope, None)?.to_truth().is_true() {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                keep.push(row);
-            }
-        }
-        Ok(keep)
     }
 
     /// [`Self::load_table_ref`] with optional profiling, keyed by the AST
@@ -1529,7 +1267,12 @@ pub(crate) fn cast_value(v: &Value, target: DataType) -> Value {
 mod tests {
     use super::*;
     use crate::plan::plan_select;
-    use crate::schema::{ColumnDef, DataType};
+    use crate::schema::{ColumnDef, DataType, ForeignKey, TableSchema};
+
+    /// Executes under the production executor, with stats.
+    fn run_with_stats(db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
+        execute_with_stats_mode(db, sql, PlanMode::default())
+    }
 
     /// A small financial-style database used across executor tests.
     fn db() -> Database {
@@ -1738,8 +1481,8 @@ mod tests {
     #[test]
     fn stats_grow_with_joins() {
         let d = db();
-        let (_, simple) = execute_with_stats(&d, "SELECT * FROM loan").unwrap();
-        let (_, join) = execute_with_stats(
+        let (_, simple) = run_with_stats(&d, "SELECT * FROM loan").unwrap();
+        let (_, join) = run_with_stats(
             &d,
             "SELECT * FROM loan INNER JOIN account ON loan.account_id = account.account_id",
         )
@@ -1754,6 +1497,52 @@ mod tests {
         execute_statement(&mut d, "INSERT INTO t (id, name) VALUES (1, 'a'), (2, 'b')").unwrap();
         let rs = execute(&d, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(rs.rows[0][0], Value::Integer(2));
+    }
+
+    /// A table `t(id PRIMARY KEY, name)` created through `execute_statement`
+    /// and holding `rows`.
+    fn scratch(rows: &str) -> Database {
+        let mut d = Database::new("scratch");
+        execute_statement(&mut d, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)").unwrap();
+        if !rows.is_empty() {
+            execute_statement(&mut d, &format!("INSERT INTO t VALUES {rows}")).unwrap();
+        }
+        d
+    }
+
+    /// Regression: `execute_statement` used to insert row by row, so an
+    /// INSERT failing on a later row returned the error but kept the rows
+    /// before it.
+    #[test]
+    fn failing_insert_statement_leaves_the_table_unchanged() {
+        for sql in
+            ["INSERT INTO t VALUES (1,'a'),(2)", "INSERT INTO t VALUES (5,'x'),(6,nosuchfn(1))"]
+        {
+            let mut d = scratch("");
+            assert!(execute_statement(&mut d, sql).is_err(), "{sql}");
+            assert!(d.table("t").unwrap().is_empty(), "{sql} left rows behind");
+            assert_eq!(d.version(), 1, "{sql} published a snapshot");
+        }
+    }
+
+    /// Regression: duplicate primary keys were accepted by INSERT and
+    /// UPDATE, after which `WHERE id = 1` matched two rows.
+    #[test]
+    fn duplicate_primary_keys_are_rejected() {
+        let mut d = scratch("(1,'a'),(2,'b')");
+        let before = d.table("t").unwrap().rows().to_vec();
+        for sql in ["INSERT INTO t VALUES (1,'dup')", "UPDATE t SET id = 1 WHERE id = 2"] {
+            let err = execute_statement(&mut d, sql).unwrap_err();
+            assert!(matches!(err, SqlError::Schema(_)), "{sql}: {err}");
+            assert_eq!(d.table("t").unwrap().rows(), before.as_slice(), "{sql}");
+        }
+        let rs = execute(&d, "SELECT COUNT(*) FROM t WHERE id = 1").unwrap();
+        assert_eq!(rs.rows[0][0], Value::Integer(1));
+        // Keeping every key, or swapping two, is no collision.
+        execute_statement(&mut d, "UPDATE t SET id = id").unwrap();
+        execute_statement(&mut d, "UPDATE t SET id = 3 - id").unwrap();
+        let rs = execute(&d, "SELECT id, name FROM t").unwrap();
+        assert_eq!(rs.rows, vec![vec![2.into(), "a".into()], vec![1.into(), "b".into()]]);
     }
 
     #[test]
@@ -1774,10 +1563,10 @@ mod tests {
     /// Runs a query in both plan modes and asserts identical rows (order
     /// included), returning the shared result.
     fn run_both_modes(d: &Database, sql: &str) -> ResultSet {
-        let (opt, _) = execute_with_stats_mode(d, sql, PlanMode::Optimized).unwrap();
+        let (col, _) = execute_with_stats_mode(d, sql, PlanMode::Columnar).unwrap();
         let (legacy, _) = execute_with_stats_mode(d, sql, PlanMode::NestedLoop).unwrap();
-        assert_eq!(opt.rows, legacy.rows, "mode divergence for: {sql}");
-        opt
+        assert_eq!(col.rows, legacy.rows, "mode divergence for: {sql}");
+        col
     }
 
     #[test]
@@ -1834,7 +1623,7 @@ mod tests {
     #[test]
     fn nested_subqueries_execute_through_planner() {
         let d = db();
-        // The IN-subquery contains its own join; in Optimized mode every
+        // The IN-subquery contains its own join; in Columnar mode every
         // nesting level plans independently.
         let rs = run_both_modes(
             &d,
@@ -1919,7 +1708,7 @@ mod tests {
         let d = db();
         let sql = "SELECT loan.loan_id FROM loan \
                    INNER JOIN account ON loan.account_id = account.account_id";
-        let (rs_opt, opt) = execute_with_stats_mode(&d, sql, PlanMode::Optimized).unwrap();
+        let (rs_opt, opt) = execute_with_stats_mode(&d, sql, PlanMode::Columnar).unwrap();
         let (rs_leg, legacy) = execute_with_stats_mode(&d, sql, PlanMode::NestedLoop).unwrap();
         assert_eq!(rs_opt.rows, rs_leg.rows);
         assert!(opt.hash_probes > 0 && opt.hash_build_rows > 0);
@@ -1939,7 +1728,7 @@ mod tests {
         // once (one miss) and replay from the result cache for the remaining
         // outer rows, in both plan modes, with identical rows.
         let sql = "SELECT loan_id FROM loan WHERE amount > (SELECT AVG(amount) FROM loan)";
-        let (rs, stats) = execute_with_stats_mode(&d, sql, PlanMode::Optimized).unwrap();
+        let (rs, stats) = execute_with_stats_mode(&d, sql, PlanMode::Columnar).unwrap();
         assert_eq!(rs.len(), 2);
         assert_eq!(stats.subquery_result_misses, 1, "one real execution");
         assert_eq!(
@@ -1957,7 +1746,7 @@ mod tests {
         // The cached path must do strictly less work than re-executing the
         // subquery per row used to: the subquery scans 5 loan rows, so a
         // per-row strategy would scan >= 25 rows for it alone.
-        let (_, stats) = execute_with_stats(&d, sql).unwrap();
+        let (_, stats) = run_with_stats(&d, sql).unwrap();
         assert!(
             stats.rows_scanned < 25,
             "subquery re-execution should be gone, scanned {}",
@@ -1970,7 +1759,7 @@ mod tests {
         let d = db();
         let sql = "SELECT account_id FROM account WHERE EXISTS \
              (SELECT 1 FROM loan WHERE loan.account_id = account.account_id AND loan.amount > 300000)";
-        let (rs, stats) = execute_with_stats(&d, sql).unwrap();
+        let (rs, stats) = run_with_stats(&d, sql).unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(stats.subquery_result_hits, 0, "correlated results must never be reused");
         assert_eq!(stats.subquery_result_misses, 0, "correlated subqueries are not cacheable");
@@ -1987,7 +1776,7 @@ mod tests {
         let (legacy_rs, legacy_stats, _) = execute_select_with_plan_cache(
             &d,
             &stmt,
-            PlanMode::Optimized,
+            PlanMode::Columnar,
             PlanCache::without_decorrelation(),
         )
         .unwrap();
@@ -2039,7 +1828,7 @@ mod tests {
                     INNER JOIN c AS cc ON cc.id = a.id)";
         let rs = run_both_modes(&d, sql);
         assert_eq!(rs.rows, vec![vec![Value::Integer(1)]], "only c.y = 100 satisfies the ON");
-        let (_, stats) = execute_with_stats(&d, sql).unwrap();
+        let (_, stats) = run_with_stats(&d, sql).unwrap();
         assert_eq!(stats.subquery_result_hits, 0, "a correlated subquery must never be cached");
         assert_eq!(stats.subquery_result_misses, 0);
     }
@@ -2051,7 +1840,7 @@ mod tests {
              (SELECT account_id FROM account WHERE frequency = 'POPLATEK MESICNE')";
         let rs = run_both_modes(&d, sql);
         assert_eq!(rs.len(), 3);
-        let (_, stats) = execute_with_stats(&d, sql).unwrap();
+        let (_, stats) = run_with_stats(&d, sql).unwrap();
         assert_eq!(stats.subquery_result_misses, 1);
         assert_eq!(stats.subquery_result_hits, 4);
     }
@@ -2071,7 +1860,7 @@ mod tests {
             d.insert("t", vec![i.into(), (i * 2).into()]).unwrap();
         }
         let sql = "SELECT v FROM t WHERE id = 250";
-        let (rs, opt) = execute_with_stats_mode(&d, sql, PlanMode::Optimized).unwrap();
+        let (rs, opt) = execute_with_stats_mode(&d, sql, PlanMode::Columnar).unwrap();
         assert_eq!(rs.rows, vec![vec![Value::Integer(500)]]);
         assert_eq!(opt.index_lookups, 1);
         assert!(opt.rows_scanned < 10, "index lookup avoids the full scan");
@@ -2099,7 +1888,7 @@ mod tests {
         d.insert("t", vec![0i64.into(), i64::MAX.into()]).unwrap();
         d.insert("t", vec![1i64.into(), (i64::MAX - 1).into()]).unwrap();
         let want = i64::MAX.wrapping_add(i64::MAX - 1);
-        for mode in [PlanMode::Optimized, PlanMode::Columnar, PlanMode::NestedLoop] {
+        for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
             let (rs, _) = execute_with_stats_mode(&d, "SELECT SUM(v) FROM t", mode).unwrap();
             assert_eq!(rs.rows, vec![vec![Value::Integer(want)]], "{mode:?}");
         }

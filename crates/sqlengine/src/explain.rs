@@ -75,19 +75,17 @@ pub fn explain_sql(db: &Database, sql: &str, mode: PlanMode) -> SqlResult<Result
 
 /// Static `EXPLAIN` rendering: plan mode, operator tree, subquery strategy
 /// verdicts, and (columnar mode) the row bridges the vectorized executor
-/// will take. Plans but never executes the statement.
+/// will take. The nested-loop oracle renders its cross-product tree. Plans but never executes the statement.
 pub fn explain_text(db: &Database, stmt: &SelectStatement, mode: PlanMode) -> SqlResult<String> {
     let mut out = format!("Plan mode: {mode:?}\n");
     match mode {
         PlanMode::NestedLoop => {
             out.push_str(&legacy_tree(stmt, &|_| String::new(), &|_| String::new()));
         }
-        PlanMode::Optimized | PlanMode::Columnar => {
+        PlanMode::Columnar => {
             let plan = plan_select(db, stmt)?;
             out.push_str(&plan.explain_annotated(&|_| String::new()));
-            if mode == PlanMode::Columnar {
-                out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
-            }
+            out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
         }
     }
     out.push_str(&subqueries_section(db, stmt, mode));
@@ -122,7 +120,7 @@ pub fn explain_analyze_text(
                 mark_covered(&profile, &join.table as *const TableRef as usize, &mut covered);
             }
         }
-        PlanMode::Optimized | PlanMode::Columnar => {
+        PlanMode::Columnar => {
             let plan = plans.cached_plan(stmt).ok_or_else(|| {
                 SqlError::Execution(
                     "EXPLAIN ANALYZE: executed statement left no cached plan".into(),
@@ -134,9 +132,7 @@ pub fn explain_analyze_text(
             out.push_str(&plan.explain_annotated(&|node| {
                 annotate_key(&profile, node as *const PlanNode as usize)
             }));
-            if mode == PlanMode::Columnar {
-                out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
-            }
+            out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
         }
     }
     out.push_str(&subqueries_section(db, stmt, mode));

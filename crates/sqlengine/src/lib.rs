@@ -16,11 +16,11 @@
 //!
 //! ## Execution architecture
 //!
-//! Queries execute in two layers, with three selectable execution modes
-//! ([`plan::PlanMode`]): `Optimized` (the row-at-a-time default),
-//! `Columnar` (vectorized batches over the same physical plans — the
-//! serving default, see [`plan::PlanMode::serving`]), and `NestedLoop`
-//! (the original cross-product executor, kept as the semantic oracle).
+//! Queries execute in two layers, under one production executor and one
+//! oracle ([`plan::PlanMode`]): `Columnar` (vectorized batches over the
+//! physical plans; the `Default`, used by `execute`, serving and
+//! evaluation) and `NestedLoop` (the original cross-product executor, kept
+//! as the semantic oracle).
 //!
 //! 1. **Physical planning** ([`plan`]): each `SELECT`'s FROM/JOIN/WHERE
 //!    section is lowered into a left-deep tree of physical operators —
@@ -33,15 +33,14 @@
 //!    else. Hash candidates are re-checked against the full `ON` predicate,
 //!    and probes return matches in scan order, so optimized plans reproduce
 //!    the legacy executor's rows *and their order* exactly.
-//! 2. **Shared pipeline** ([`exec`]): projection, grouping, `HAVING`,
-//!    `DISTINCT`, `ORDER BY`, and `LIMIT`/`OFFSET` run identically for
-//!    every plan. `GROUP BY`, `DISTINCT`, and `DISTINCT` aggregates are
-//!    hashed through [`storage::GroupKeyMap`] — a multi-column grouping-key
-//!    map with exact [`value::Value::grouping_eq`] semantics (NULL groups
-//!    with NULL, integers and reals cross-match, text is byte-exact, NaN
-//!    falls back to a linear side path) — so grouping is O(rows) instead of
-//!    O(rows × groups). Groups are tracked as row indices into the filtered
-//!    relation; no full-row clones.
+//! 2. **Statement tail** ([`exec`], [`columnar`]): projection, grouping,
+//!    `HAVING`, `DISTINCT`, `ORDER BY`, and `LIMIT`/`OFFSET`. `GROUP BY`,
+//!    `DISTINCT`, and `DISTINCT` aggregates are hashed through
+//!    [`storage::GroupKeyMap`] — a multi-column grouping-key map with exact
+//!    [`value::Value::grouping_eq`] semantics (NULL groups with NULL,
+//!    integers and reals cross-match, text is byte-exact, NaN falls back to
+//!    a linear side path) — so grouping is O(rows) instead of
+//!    O(rows × groups).
 //!
 //! Each top-level statement executes with a [`plan::PlanCache`]: subqueries
 //! (scalar, `IN`, `EXISTS`, derived tables) are planned once, with hit/miss
@@ -52,19 +51,28 @@
 //! build side runs once and whose probes are O(1) per outer row — and fall
 //! back to per-outer-row re-execution of the cached plan otherwise.
 //!
-//! [`plan::PlanMode::Columnar`] executes the *same* physical plans over
+//! [`plan::PlanMode::Columnar`] executes the physical plans over
 //! [`chunk::DataChunk`] batches of typed [`chunk::ColumnArray`]s
 //! (fixed [`chunk::BATCH_SIZE`], null bitmaps): scans slice tables into
 //! chunks, filters run batch predicate kernels, hash joins build and probe
 //! over column slices, and grouping hashes batch-evaluated key columns
 //! through the same [`storage::GroupKeyMap`]. Anything the batch layer
-//! cannot express (subqueries, outer references, nested aggregates) falls
-//! back to the shared row machinery per operator — only that expression is
-//! row-evaluated while the rest of the statement stays batched; each bridged
-//! expression counts in [`ExecStats::columnar_fallbacks`], and each mixed
-//! statement in [`ExecStats::columnar_partial`] — so results stay
-//! row-identical to the other modes by construction (see the
-//! [`mod@columnar`] docs for the exact semantics contract).
+//! cannot express (subqueries, outer references, nested aggregates,
+//! non-equi joins) falls back to the row machinery per operator — only
+//! that expression is row-evaluated while the rest of the statement stays
+//! batched; each bridged expression counts in
+//! [`ExecStats::columnar_fallbacks`], and each mixed statement in
+//! [`ExecStats::columnar_partial`] (see the [`mod@columnar`] docs for the
+//! exact semantics contract).
+//!
+//! [`plan::PlanMode::NestedLoop`] preserves the original cross-product
+//! executor as a semantic reference (it never plans, caches or
+//! decorrelates); `tests/engine_conformance.rs` asserts row-identical
+//! results (`Columnar` vs `NestedLoop`) over every gold query of both
+//! synthetic corpora, and
+//! `crates/sqlengine/tests/decorrelation_props.rs` /
+//! `crates/sqlengine/tests/columnar_props.rs` do the same over randomized
+//! correlated and NULL/NaN/cross-typed workloads.
 //!
 //! ## Value sample
 //!
@@ -73,15 +81,6 @@
 //! lowercased once. Text-to-SQL value retrieval scores question words
 //! against it instead of rescanning the rows per question. Clones of a
 //! table state share it, and every mutation drops it.
-//!
-//! [`plan::PlanMode::NestedLoop`] preserves the original cross-product
-//! executor as a semantic reference (it never caches or decorrelates);
-//! `tests/engine_conformance.rs` asserts three-way row-identical results
-//! (`Optimized` vs `Columnar` vs `NestedLoop`) over every gold query of
-//! both synthetic corpora, and
-//! `crates/sqlengine/tests/decorrelation_props.rs` /
-//! `crates/sqlengine/tests/columnar_props.rs` do the same over randomized
-//! correlated and NULL/NaN/cross-typed workloads.
 //!
 //! ## Cost model
 //!
@@ -125,9 +124,8 @@ pub use chunk::{ArrayBuilder, ColumnArray, DataChunk, NullBitmap, BATCH_SIZE};
 pub use decorrelate::{decorrelate, DecorrelatedKind, DecorrelatedSubquery, SubqueryPosition};
 pub use error::{SqlError, SqlResult};
 pub use exec::{
-    execute, execute_select, execute_select_profiled, execute_select_with_plan_cache,
-    execute_select_with_stats, execute_select_with_stats_mode, execute_statement,
-    execute_with_stats, execute_with_stats_mode,
+    execute, execute_select_profiled, execute_select_with_plan_cache, execute_statement,
+    execute_with_stats_mode,
 };
 pub use explain::{explain_analyze_text, explain_sql, explain_statement, explain_text};
 pub use mutate::{

@@ -15,17 +15,23 @@
 //!    independent implementations. [`commit_statement`] is the production
 //!    path — clone the database (cheap: tables are [`std::sync::Arc`]
 //!    shared), copy-on-write only the touched table, and maintain its PK
-//!    index, columnar chunks, and BM25 text indexes *incrementally*.
+//!    index and columnar chunks *incrementally*.
 //!    [`commit_statement_rebuild`] is the naive reference — materialize the
 //!    post-mutation rows and rebuild a fresh database from the schema, so
 //!    every index and chunk is built from scratch. `snapshot_props.rs`
 //!    asserts the two are observably identical (rows, probes, chunks,
-//!    searches, query results in all three plan modes) on randomized
+//!    value samples, query results in both plan modes) on randomized
 //!    workloads.
+//!
+//! The production path inserts through [`crate::storage::Table::insert`]
+//! and updates through [`crate::storage::Table::update_rows`]; the
+//! reference re-inserts every row through `Table::insert`. Both reject a
+//! primary-key collision before mutating, so a colliding statement fails on
+//! either path and publishes nothing.
 //!
 //! Because both paths share one planning step, any divergence the oracle
 //! finds is necessarily in the incremental maintenance machinery — the part
-//! this PR's tests exist to keep honest.
+//! the oracle exists to keep honest.
 
 use crate::ast::Statement;
 use crate::error::{SqlError, SqlResult};
@@ -234,9 +240,9 @@ fn table_scope_cols(table: &str, schema: &TableSchema) -> Vec<ColMeta> {
 
 /// Applies a planned mutation to a snapshot **incrementally**: the database
 /// is cloned (table handles shared), only the touched table is
-/// copy-on-write cloned, and its PK index, columnar chunks, and text
-/// indexes are maintained in place rather than rebuilt. This is the
-/// production commit path.
+/// copy-on-write cloned, and its PK index and columnar chunks are
+/// maintained in place rather than rebuilt. This is the production commit
+/// path.
 pub fn apply_planned(db: &Database, planned: PlannedMutation) -> SqlResult<CommitOutcome> {
     let mut next = db.clone();
     next.bump_version();
@@ -287,8 +293,8 @@ pub fn apply_planned(db: &Database, planned: PlannedMutation) -> SqlResult<Commi
 
 /// Applies a planned mutation by **rebuilding everything**: materialize the
 /// post-mutation row stores, then construct a fresh database from the
-/// schema and re-insert every row of every table, so each PK index,
-/// columnar chunk, and text index is built from scratch with no incremental
+/// schema and re-insert every row of every table, so each PK index and
+/// columnar chunk is built from scratch with no incremental
 /// step anywhere. Deliberately naive — this is the reference implementation
 /// the differential oracle compares [`apply_planned`] against.
 pub fn apply_planned_rebuild(db: &Database, planned: PlannedMutation) -> SqlResult<CommitOutcome> {
@@ -491,6 +497,22 @@ mod tests {
         assert_eq!(statement_dependencies(&stmt), vec!["t", "u"]);
         let stmt = crate::parse_statement("DELETE FROM t WHERE id IN (SELECT id FROM u)").unwrap();
         assert_eq!(statement_dependencies(&stmt), vec!["t", "u"]);
+    }
+
+    /// Regression: a primary key repeated within one INSERT, or UPDATEd onto
+    /// a key another row keeps, committed on both paths.
+    #[test]
+    fn primary_key_collisions_fail_on_both_commit_paths() {
+        let mut two = Database::new("m");
+        crate::execute_statement(&mut two, "CREATE TABLE t (id INTEGER PRIMARY KEY, name TEXT)")
+            .unwrap();
+        assert!(commit_statement(&two, "INSERT INTO t VALUES (9,'a'),(9,'b')").is_err());
+        assert!(commit_statement_rebuild(&two, "INSERT INTO t VALUES (9,'a'),(9,'b')").is_err());
+        let db = db();
+        for sql in ["INSERT INTO t VALUES (3, 'dup', 0)", "UPDATE t SET id = 1 WHERE id = 2"] {
+            assert!(commit_statement(&db, sql).is_err(), "{sql}");
+            assert!(commit_statement_rebuild(&db, sql).is_err(), "{sql}");
+        }
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! Plans preserve the legacy executor's row *order* as well as its row
 //! multiset: hash probes return matches in right-scan order, so
 //! `LIMIT`-without-`ORDER BY` queries stay bit-for-bit identical between
-//! [`PlanMode::Optimized`] and [`PlanMode::NestedLoop`]. The conformance
+//! [`PlanMode::Columnar`], which executes these plans, and the
+//! [`PlanMode::NestedLoop`] oracle, which never plans. The conformance
 //! suite in `tests/engine_conformance.rs` asserts this equivalence over
 //! every gold query of both synthetic corpora.
 //!
@@ -55,32 +56,26 @@ use crate::result::ExecStats;
 use crate::storage::Database;
 use crate::value::Value;
 
-/// Which execution strategy the executor uses for FROM/JOIN/WHERE.
+/// Which executor runs a statement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanMode {
-    /// Physical planner: hash equi-joins, PK lookups, predicate pushdown.
+    /// The production executor: the physical plans above (hash equi-joins,
+    /// PK lookups, predicate pushdown), run over
+    /// [`crate::chunk::DataChunk`] batches of typed column arrays, with
+    /// batch expression kernels and a per-operator row bridge for whatever
+    /// is not vectorized (see [`crate::columnar`]). Uncorrelated subqueries
+    /// are result-cached and correlated ones decorrelated where sound.
     #[default]
-    Optimized,
-    /// Legacy executor: nested-loop joins and post-join filtering only.
-    /// Kept as the semantic reference the optimized plans are tested
-    /// against.
-    NestedLoop,
-    /// Vectorized execution over the *same* physical plans as `Optimized`:
-    /// operators exchange [`crate::chunk::DataChunk`] batches of typed
-    /// column arrays instead of one `Vec<Value>` row at a time, with batch
-    /// expression kernels for the hot paths and a per-statement row
-    /// fallback for everything not yet vectorized (see [`crate::columnar`]).
-    /// Row-identical to both other modes by construction and by the
-    /// three-way differential suites; subquery caching and decorrelation
-    /// engage exactly as in `Optimized`.
     Columnar,
+    /// The semantic oracle: nested-loop joins and post-join filtering
+    /// only, no planning, caching or decorrelation. The differential suites
+    /// check `Columnar` against it.
+    NestedLoop,
 }
 
 impl PlanMode {
-    /// The mode production serving paths (`seed-serve`, the eval runners)
-    /// default to: columnar batch execution. Library callers keep
-    /// [`PlanMode::Optimized`] as `Default` — the row pipeline remains the
-    /// reference the vectorized path is differentially tested against.
+    /// The mode serving and evaluation run under: the `Default`,
+    /// [`PlanMode::Columnar`].
     pub fn serving() -> PlanMode {
         PlanMode::Columnar
     }

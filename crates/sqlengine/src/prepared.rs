@@ -105,20 +105,18 @@ impl PreparedStatement {
         self.plans.lock().len()
     }
 
-    /// Executes against `db`, reusing every plan earlier executions of this
-    /// prepared statement produced and contributing any newly planned
+    /// Executes against `db` under the production executor
+    /// ([`PlanMode::Columnar`]), reusing every plan earlier executions of
+    /// this prepared statement produced and contributing any newly planned
     /// subqueries back. Plan reuse shows up as `plan_cache_hits` in the
     /// returned [`ExecStats`]; the work counters (and therefore the VES cost)
-    /// are identical to a fresh execution.
-    ///
-    /// Plans are shared across *modes* as well as executions:
-    /// [`PlanMode::Optimized`] and [`PlanMode::Columnar`] execute the same
-    /// physical plans (columnar only changes how a plan's operators move
-    /// data), so a statement planned under one replays as a cache hit under
-    /// the other. Only [`PlanMode::NestedLoop`] bypasses the cache entirely.
-    pub fn execute(&self, db: &Database, mode: PlanMode) -> SqlResult<(ResultSet, ExecStats)> {
+    /// are identical to a fresh execution. The nested-loop oracle never
+    /// plans, so it has no place here: run it through
+    /// [`crate::execute_with_stats_mode`].
+    pub fn execute(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats)> {
         let snapshot = self.plans.lock().clone();
-        let (rs, stats, updated) = execute_select_with_plan_cache(db, &self.stmt, mode, snapshot)?;
+        let (rs, stats, updated) =
+            execute_select_with_plan_cache(db, &self.stmt, PlanMode::Columnar, snapshot)?;
         self.plans.lock().merge(&updated);
         Ok((rs, stats))
     }
@@ -130,19 +128,18 @@ impl PreparedStatement {
     pub fn execute_profiled(
         &self,
         db: &Database,
-        mode: PlanMode,
     ) -> SqlResult<(ResultSet, ExecStats, QueryProfile)> {
         let snapshot = self.plans.lock().clone();
         let (rs, stats, updated, profile) =
-            execute_select_profiled(db, &self.stmt, mode, snapshot)?;
+            execute_select_profiled(db, &self.stmt, PlanMode::Columnar, snapshot)?;
         self.plans.lock().merge(&updated);
         Ok((rs, stats, profile))
     }
 
-    /// Static `EXPLAIN` rendering of this statement under `mode` (plans but
-    /// never executes; see [`crate::explain::explain_text`]).
-    pub fn explain(&self, db: &Database, mode: PlanMode) -> SqlResult<String> {
-        crate::explain::explain_text(db, &self.stmt, mode)
+    /// Static `EXPLAIN` rendering of this statement (plans but never
+    /// executes; see [`crate::explain::explain_text`]).
+    pub fn explain(&self, db: &Database) -> SqlResult<String> {
+        crate::explain::explain_text(db, &self.stmt, PlanMode::Columnar)
     }
 }
 
@@ -229,24 +226,8 @@ impl SharedPlanCache {
 
     /// Parses (or reuses) and executes `sql` against `db`, sharing plans
     /// with every earlier and concurrent execution of the same statement.
-    pub fn execute(
-        &self,
-        db: &Database,
-        sql: &str,
-        mode: PlanMode,
-    ) -> SqlResult<(ResultSet, ExecStats)> {
-        self.prepare(db.name(), sql)?.execute(db, mode)
-    }
-
-    /// [`Self::execute`] plus the per-operator wall-clock profile (see
-    /// [`PreparedStatement::execute_profiled`]).
-    pub fn execute_profiled(
-        &self,
-        db: &Database,
-        sql: &str,
-        mode: PlanMode,
-    ) -> SqlResult<(ResultSet, ExecStats, QueryProfile)> {
-        self.prepare(db.name(), sql)?.execute_profiled(db, mode)
+    pub fn execute(&self, db: &Database, sql: &str) -> SqlResult<(ResultSet, ExecStats)> {
+        self.prepare(db.name(), sql)?.execute(db)
     }
 
     /// Number of prepared statements currently pinned, across all stripes.
@@ -288,8 +269,8 @@ mod tests {
         let d = db();
         let cache = SharedPlanCache::new();
         let sql = "SELECT grp, COUNT(*) FROM t WHERE v > (SELECT AVG(v) FROM t) GROUP BY grp";
-        let (rs1, stats1) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
-        let (rs2, stats2) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
+        let (rs1, stats1) = cache.execute(&d, sql).unwrap();
+        let (rs2, stats2) = cache.execute(&d, sql).unwrap();
         assert_eq!(rs1.rows, rs2.rows, "prepared re-execution is byte-identical");
         assert!(stats1.plan_cache_misses >= 2, "first run plans top level + subquery");
         assert_eq!(stats2.plan_cache_misses, 0, "second run plans nothing");
@@ -309,8 +290,8 @@ mod tests {
         // join whose build statement is Arc-pinned by the plan cache.
         let sql = "SELECT id FROM t AS outer_t \
                    WHERE v > (SELECT AVG(i.v) FROM t AS i WHERE i.grp = outer_t.grp)";
-        let (rs1, stats1) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
-        let (rs2, stats2) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
+        let (rs1, stats1) = cache.execute(&d, sql).unwrap();
+        let (rs2, stats2) = cache.execute(&d, sql).unwrap();
         assert_eq!(rs1.rows, rs2.rows);
         assert_eq!(stats1.decorrelated_subqueries, 1, "rewrite engages on first execution");
         assert_eq!(stats2.decorrelated_subqueries, 1, "build re-executes per execution");
@@ -325,7 +306,8 @@ mod tests {
             "probe traffic is deterministic across shared executions"
         );
         // Row identity against the never-decorrelating reference mode.
-        let (legacy, _) = cache.execute(&d, sql, PlanMode::NestedLoop).unwrap();
+        let (legacy, _) =
+            crate::exec::execute_with_stats_mode(&d, sql, PlanMode::NestedLoop).unwrap();
         assert_eq!(legacy.rows, rs1.rows);
     }
 
@@ -341,9 +323,9 @@ mod tests {
         let sql = "SELECT id FROM t AS outer_t \
                    WHERE v > (SELECT AVG(i.v) FROM t AS i WHERE i.grp = outer_t.grp)";
         let prepared = cache.prepare(d.name(), sql).unwrap();
-        let (first, _) = prepared.execute(&d, PlanMode::Optimized).unwrap();
+        let (first, _) = prepared.execute(&d).unwrap();
         for _ in 0..50 {
-            let (rs, _) = prepared.execute(&d, PlanMode::Optimized).unwrap();
+            let (rs, _) = prepared.execute(&d).unwrap();
             assert_eq!(rs.rows, first.rows);
         }
         let plans = prepared.plans.lock();
@@ -352,23 +334,26 @@ mod tests {
     }
 
     #[test]
-    fn columnar_executions_share_plans_with_optimized_and_match_rows() {
+    fn prepared_columnar_executions_replay_plans_and_match_nested_loop() {
         let d = db();
         let cache = SharedPlanCache::new();
         let sql = "SELECT grp, COUNT(*), SUM(v) FROM t WHERE v > 10 GROUP BY grp ORDER BY grp";
-        // Plan under the row mode, replay under the columnar serving mode:
-        // the physical plans are shared, only data movement differs.
-        let (opt, opt_stats) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
-        let (col, col_stats) = cache.execute(&d, sql, PlanMode::Columnar).unwrap();
-        assert_eq!(opt.rows, col.rows, "modes must be row-identical");
-        assert_eq!(opt.columns, col.columns);
-        assert!(opt_stats.plan_cache_misses >= 1, "first execution plans");
+        // The first execution plans; the second replays the cached plan.
+        let (first, first_stats) = cache.execute(&d, sql).unwrap();
+        let (col, col_stats) = cache.execute(&d, sql).unwrap();
+        assert!(first_stats.plan_cache_misses >= 1, "first execution plans");
         assert_eq!(col_stats.plan_cache_misses, 0, "columnar replays the cached plan");
         assert!(col_stats.plan_cache_hits >= 1);
         assert!(col_stats.batches_built >= 1, "columnar execution moves batches");
-        assert_eq!(opt_stats.batches_built, 0, "row execution does not");
+        assert_eq!(first.rows, col.rows);
+        // Row identity against the nested-loop oracle, which bypasses the cache.
+        let (legacy, legacy_stats) =
+            crate::exec::execute_with_stats_mode(&d, sql, PlanMode::NestedLoop).unwrap();
+        assert_eq!(legacy.rows, col.rows, "modes must be row-identical");
+        assert_eq!(legacy.columns, col.columns);
+        assert_eq!(legacy_stats.batches_built, 0, "row execution does not move batches");
         // Re-running columnar is stat-deterministic.
-        let (_, again) = cache.execute(&d, sql, PlanMode::Columnar).unwrap();
+        let (_, again) = cache.execute(&d, sql).unwrap();
         assert_eq!(again, col_stats);
     }
 
@@ -383,8 +368,8 @@ mod tests {
         .unwrap();
         d2.insert("t", vec![1.into()]).unwrap();
         let cache = SharedPlanCache::new();
-        let (a, _) = cache.execute(&d, "SELECT COUNT(*) FROM t", PlanMode::Optimized).unwrap();
-        let (b, _) = cache.execute(&d2, "SELECT COUNT(*) FROM t", PlanMode::Optimized).unwrap();
+        let (a, _) = cache.execute(&d, "SELECT COUNT(*) FROM t").unwrap();
+        let (b, _) = cache.execute(&d2, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(a.rows[0][0], Value::Integer(40));
         assert_eq!(b.rows[0][0], Value::Integer(1));
         assert_eq!(cache.len(), 2, "same SQL against different databases pins two entries");
@@ -418,7 +403,7 @@ mod tests {
     fn parse_errors_surface_and_are_not_cached() {
         let d = db();
         let cache = SharedPlanCache::new();
-        assert!(cache.execute(&d, "SELEKT nope", PlanMode::Optimized).is_err());
+        assert!(cache.execute(&d, "SELEKT nope").is_err());
         assert!(cache.is_empty());
     }
 
@@ -427,14 +412,14 @@ mod tests {
         let d = std::sync::Arc::new(db());
         let cache = std::sync::Arc::new(SharedPlanCache::new());
         let sql = "SELECT grp, SUM(v) FROM t GROUP BY grp ORDER BY grp";
-        let (reference, _) = cache.execute(&d, sql, PlanMode::Optimized).unwrap();
+        let (reference, _) = cache.execute(&d, sql).unwrap();
         let mut handles = Vec::new();
         for _ in 0..4 {
             let d = std::sync::Arc::clone(&d);
             let cache = std::sync::Arc::clone(&cache);
             let sql = sql.to_string();
             handles.push(std::thread::spawn(move || {
-                let (rs, _) = cache.execute(&d, &sql, PlanMode::Optimized).unwrap();
+                let (rs, _) = cache.execute(&d, &sql).unwrap();
                 rs.rows
             }));
         }

@@ -29,7 +29,7 @@ pub struct OpProfile {
     pub invocations: u64,
     /// Total rows the operator produced across all invocations.
     pub rows_out: u64,
-    /// Total columnar batches produced (0 on the row paths).
+    /// Total columnar batches produced (0 in the nested-loop oracle).
     pub batches: u64,
     /// Inclusive monotonic nanoseconds across all invocations.
     pub nanos: u64,

@@ -133,7 +133,7 @@ pub struct ExecStats {
     /// `DataChunk` batches materialized by columnar operators
     /// ([`PlanMode::Columnar`](crate::plan::PlanMode::Columnar) only).
     /// Observability, not cost: the work batches carry is already counted
-    /// in the ordinary scan/eval/hash units, identically to the row path.
+    /// in the ordinary scan/eval/hash units.
     pub batches_built: u64,
     /// Total rows carried by those batches.
     pub batch_rows: u64,

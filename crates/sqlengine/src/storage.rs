@@ -590,9 +590,11 @@ impl Table {
         }
     }
 
-    /// Appends a row, validating arity and maintaining the PK index. If a
-    /// columnar snapshot exists, only the trailing partial chunk is
-    /// re-transposed; full chunks before it are shared untouched.
+    /// Appends a row, validating arity and primary-key uniqueness and
+    /// maintaining the PK index. A key `sql_cmp`-equal to a stored one is
+    /// rejected before anything changes; NULL keys are not indexed and never
+    /// collide. If a columnar snapshot exists, only the trailing partial
+    /// chunk is re-transposed; full chunks before it are shared untouched.
     pub fn insert(&mut self, row: Row) -> SqlResult<()> {
         if row.len() != self.schema.columns.len() {
             return Err(SqlError::Schema(format!(
@@ -603,6 +605,9 @@ impl Table {
             )));
         }
         if let Some(pk) = self.pk_col {
+            if !self.pk_index.probe(&row[pk]).is_empty() {
+                return Err(self.pk_collision(pk, &row[pk]));
+            }
             self.pk_index.insert(&row[pk], self.rows.len());
         }
         self.rows.push(row);
@@ -613,8 +618,12 @@ impl Table {
     }
 
     /// Replaces whole rows in place: `changes` maps row positions to their
-    /// new contents (each arity-validated). Positions are unchanged, so PK
-    /// maintenance is a per-row remove + insert and only the chunks
+    /// new contents (each arity-validated). Before anything changes, the
+    /// new primary keys are checked against the table as it will be: a key
+    /// `sql_cmp`-equal to one a row keeps, or two updated rows meeting on
+    /// one key, is rejected, while a row keeping its own key or keys
+    /// swapped among the updated rows are fine. Positions are unchanged, so
+    /// PK maintenance is a per-row remove + insert and only the chunks
     /// containing changed rows are re-transposed. Bumps the generation once
     /// per (non-empty) call.
     pub fn update_rows(&mut self, changes: Vec<(usize, Row)>) -> SqlResult<()> {
@@ -638,6 +647,9 @@ impl Table {
                 )));
             }
         }
+        if let Some(pk) = self.pk_col {
+            self.check_update_keys(pk, &changes)?;
+        }
         let dirty: Vec<usize> = changes.iter().map(|(p, _)| *p).collect();
         for (pos, row) in changes {
             if let Some(pk) = self.pk_col {
@@ -650,6 +662,35 @@ impl Table {
         self.rechunk_at(&dirty);
         self.value_sample.take();
         Ok(())
+    }
+
+    /// The key check of [`Table::update_rows`]: every new key is probed
+    /// against the rows the update leaves in place and against the new keys
+    /// before it, which is what re-inserting the updated table row by row
+    /// would find.
+    fn check_update_keys(&self, pk: usize, changes: &[(usize, Row)]) -> SqlResult<()> {
+        let mut updated: Vec<usize> = changes.iter().map(|(p, _)| *p).collect();
+        updated.sort_unstable();
+        let mut new_keys = EqKeyMap::default();
+        for (i, (_, row)) in changes.iter().enumerate() {
+            let key = &row[pk];
+            let hits_kept_row =
+                self.pk_index.probe(key).iter().any(|p| updated.binary_search(p).is_err());
+            if hits_kept_row || !new_keys.probe(key).is_empty() {
+                return Err(self.pk_collision(pk, key));
+            }
+            new_keys.insert(key, i);
+        }
+        Ok(())
+    }
+
+    fn pk_collision(&self, pk: usize, key: &Value) -> SqlError {
+        SqlError::Schema(format!(
+            "PRIMARY KEY constraint failed: {}.{} = {}",
+            self.schema.name,
+            self.schema.columns[pk].name,
+            key.render()
+        ))
     }
 
     /// Deletes the rows at `positions` (strictly ascending, in range),
@@ -1264,5 +1305,47 @@ mod tests {
         let t = db.table("t").unwrap();
         assert_eq!(t.primary_key_column(), None);
         assert!(t.pk_lookup(&Value::Integer(1)).is_none());
+    }
+
+    #[test]
+    fn insert_rejects_sql_equal_primary_keys_and_changes_nothing() {
+        let mut t = Table::new(client_table());
+        t.insert(vec![1.into(), "F".into(), Value::Null]).unwrap();
+        let generation = t.generation();
+        // `sql_cmp` equality: 1, 1.0 and '1' all collide with key 1.
+        for key in [Value::Integer(1), Value::Real(1.0), Value::text("1")] {
+            let err = t.insert(vec![key.clone(), "M".into(), Value::Null]).unwrap_err();
+            assert!(matches!(err, SqlError::Schema(_)), "{key:?}: {err}");
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.generation(), generation, "a rejected insert is no mutation");
+        // NULL keys are not indexed, so they never collide.
+        t.insert(vec![Value::Null, "M".into(), Value::Null]).unwrap();
+        t.insert(vec![Value::Null, "F".into(), Value::Null]).unwrap();
+        assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn update_rejects_key_collisions_but_allows_kept_and_swapped_keys() {
+        let mut t = Table::new(client_table());
+        for id in 1..=3i64 {
+            t.insert(vec![id.into(), "F".into(), Value::Null]).unwrap();
+        }
+        let row = |id: i64| vec![id.into(), "M".into(), Value::Null];
+        let generation = t.generation();
+        // Onto the key of a row the update leaves in place.
+        assert!(t.update_rows(vec![(1, row(1))]).is_err());
+        // Two updated rows onto one new key.
+        assert!(t.update_rows(vec![(0, row(7)), (1, row(7))]).is_err());
+        assert_eq!(t.generation(), generation, "a rejected update is no mutation");
+        assert!(t.rows().iter().all(|r| r[1] == Value::text("F")));
+        // Keeping its own key, and swapping keys among updated rows, is fine.
+        t.update_rows(vec![(2, row(3))]).unwrap();
+        t.update_rows(vec![(0, row(2)), (1, row(1))]).unwrap();
+        assert_eq!(t.generation(), generation + 2);
+        let keys: Vec<&Value> = t.rows().iter().map(|r| &r[0]).collect();
+        assert_eq!(keys, [&Value::Integer(2), &Value::Integer(1), &Value::Integer(3)]);
+        assert_eq!(t.pk_lookup(&Value::Integer(2)).unwrap().as_slice(), &[0]);
+        assert_eq!(t.pk_lookup(&Value::Integer(1)).unwrap().as_slice(), &[1]);
     }
 }

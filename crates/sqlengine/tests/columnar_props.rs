@@ -3,9 +3,9 @@
 //! cross-typed values (numbers stored next to numeric-looking text), every
 //! query of a battery covering filters, equi- and residual joins, grouping,
 //! HAVING, DISTINCT aggregates, DISTINCT, CASE, and ORDER BY/LIMIT must be
-//! row-identical — order included — across all three execution modes:
-//! `Columnar` (vectorized), `Optimized` (row-at-a-time, same plans), and
-//! `NestedLoop` (the original cross-product oracle).
+//! row-identical — order included — between both execution modes:
+//! `Columnar` (vectorized, the production executor) and `NestedLoop` (the
+//! original cross-product oracle).
 //!
 //! Rows are compared by *rendered* text, not `Value` equality: `PartialEq`
 //! for `Value` is `grouping_eq`, under which NaN equals every number and
@@ -103,31 +103,24 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
 }
 
 proptest! {
-    /// The headline three-way differential property: columnar, optimized,
-    /// and nested-loop execution agree on every query of the battery, for
-    /// every randomized database.
+    /// The headline differential property: columnar and nested-loop
+    /// execution agree on every query of the battery, for every randomized
+    /// database.
     #[test]
     fn columnar_matches_row_and_nested_loop(s in "[0-9nNrRzZtTxXqQbB ]{0,64}") {
         let db = build_db(&s);
         for sql in QUERIES {
             let col = execute_with_stats_mode(&db, sql, PlanMode::Columnar);
-            let opt = execute_with_stats_mode(&db, sql, PlanMode::Optimized);
             let legacy = execute_with_stats_mode(&db, sql, PlanMode::NestedLoop);
             // Errors (none expected from this battery) must agree too.
-            prop_assert_eq!(col.is_ok(), opt.is_ok(), "ok-mismatch on {}", sql);
-            prop_assert_eq!(opt.is_ok(), legacy.is_ok(), "ok-mismatch on {}", sql);
-            let (Ok((col, _)), Ok((opt, _)), Ok((legacy, _))) = (col, opt, legacy) else {
+            prop_assert_eq!(col.is_ok(), legacy.is_ok(), "ok-mismatch on {}", sql);
+            let (Ok((col, _)), Ok((legacy, _))) = (col, legacy) else {
                 continue;
             };
-            prop_assert_eq!(&col.columns, &opt.columns, "headers on {}", sql);
             prop_assert_eq!(&col.columns, &legacy.columns, "headers on {}", sql);
             prop_assert_eq!(
-                rendered(&col.rows), rendered(&opt.rows),
-                "columnar vs optimized on {} over {:?}", sql, s
-            );
-            prop_assert_eq!(
-                rendered(&opt.rows), rendered(&legacy.rows),
-                "optimized vs nested-loop on {} over {:?}", sql, s
+                rendered(&col.rows), rendered(&legacy.rows),
+                "columnar vs nested-loop on {} over {:?}", sql, s
             );
         }
     }
@@ -153,20 +146,16 @@ proptest! {
     }
 }
 
-/// Asserts a query renders row-identically (headers, order, cell text)
-/// across all three execution modes, returning the columnar result.
-fn assert_three_way(db: &Database, sql: &str) -> Vec<Vec<String>> {
+/// Asserts a query renders row-identically (headers, order, cell text) in
+/// both execution modes, returning the columnar result.
+fn assert_both_modes(db: &Database, sql: &str) -> Vec<Vec<String>> {
     let (col, _) = execute_with_stats_mode(db, sql, PlanMode::Columnar)
         .unwrap_or_else(|e| panic!("columnar failed on {sql}: {e}"));
-    let (opt, _) = execute_with_stats_mode(db, sql, PlanMode::Optimized)
-        .unwrap_or_else(|e| panic!("optimized failed on {sql}: {e}"));
     let (nl, _) = execute_with_stats_mode(db, sql, PlanMode::NestedLoop)
         .unwrap_or_else(|e| panic!("nested-loop failed on {sql}: {e}"));
-    assert_eq!(col.columns, opt.columns, "headers on {sql}");
     assert_eq!(col.columns, nl.columns, "headers on {sql}");
-    let (rc, ro, rn) = (rendered(&col.rows), rendered(&opt.rows), rendered(&nl.rows));
-    assert_eq!(rc, ro, "columnar vs optimized on {sql}");
-    assert_eq!(ro, rn, "optimized vs nested-loop on {sql}");
+    let (rc, rn) = (rendered(&col.rows), rendered(&nl.rows));
+    assert_eq!(rc, rn, "columnar vs nested-loop on {sql}");
     rc
 }
 
@@ -207,10 +196,13 @@ fn boundary_db(n: usize) -> Database {
 #[test]
 fn selection_vector_empty_selection() {
     let db = boundary_db(2 * BATCH_SIZE + 100);
-    assert_eq!(assert_three_way(&db, "SELECT id, v FROM t WHERE v < 0"), Vec::<Vec<String>>::new());
-    assert_eq!(assert_three_way(&db, "SELECT g, COUNT(*) FROM t WHERE v < 0 GROUP BY g").len(), 0);
+    assert_eq!(
+        assert_both_modes(&db, "SELECT id, v FROM t WHERE v < 0"),
+        Vec::<Vec<String>>::new()
+    );
+    assert_eq!(assert_both_modes(&db, "SELECT g, COUNT(*) FROM t WHERE v < 0 GROUP BY g").len(), 0);
     // Ungrouped aggregate over an empty selection still produces its one row.
-    let rows = assert_three_way(&db, "SELECT COUNT(*), SUM(v), MIN(r) FROM t WHERE v < 0");
+    let rows = assert_both_modes(&db, "SELECT COUNT(*), SUM(v), MIN(r) FROM t WHERE v < 0");
     assert_eq!(rows, vec![vec!["0".to_string(), "NULL".to_string(), "NULL".to_string()]]);
 }
 
@@ -219,9 +211,9 @@ fn selection_vector_empty_selection() {
 #[test]
 fn selection_vector_all_rows_selection() {
     let db = boundary_db(2 * BATCH_SIZE + 100);
-    let rows = assert_three_way(&db, "SELECT id FROM t WHERE v >= 0");
+    let rows = assert_both_modes(&db, "SELECT id FROM t WHERE v >= 0");
     assert_eq!(rows.len(), 2 * BATCH_SIZE + 100);
-    let rows = assert_three_way(&db, "SELECT g, COUNT(*), SUM(v) FROM t WHERE v >= 0 GROUP BY g");
+    let rows = assert_both_modes(&db, "SELECT g, COUNT(*), SUM(v) FROM t WHERE v >= 0 GROUP BY g");
     assert_eq!(rows.len(), 7);
 }
 
@@ -234,12 +226,12 @@ fn selection_vector_single_survivor_at_chunk_boundary() {
     let db = boundary_db(2 * BATCH_SIZE + 100);
     for target in [BATCH_SIZE - 1, BATCH_SIZE, BATCH_SIZE + 1] {
         let sql = format!("SELECT id, v, g FROM t WHERE v = {target}");
-        let rows = assert_three_way(&db, &sql);
+        let rows = assert_both_modes(&db, &sql);
         assert_eq!(rows.len(), 1, "exactly one survivor for {sql}");
         assert_eq!(rows[0][0], target.to_string());
         let sql =
             format!("SELECT g, COUNT(*), SUM(v), AVG(r) FROM t WHERE v = {target} GROUP BY g");
-        assert_eq!(assert_three_way(&db, &sql).len(), 1);
+        assert_eq!(assert_both_modes(&db, &sql).len(), 1);
     }
 }
 
@@ -256,7 +248,7 @@ fn wide_aggregate_lists_over_mixed_columns() {
          WHERE v >= 10 AND v < 2000 GROUP BY g HAVING COUNT(*) > 2 ORDER BY g",
         "SELECT COUNT(*), COUNT(r), SUM(r), AVG(r), MIN(v), MAX(r) FROM t WHERE g <> 3",
     ] {
-        assert_three_way(&db, sql);
+        assert_both_modes(&db, sql);
     }
 }
 
@@ -268,19 +260,19 @@ fn prepared_statement_sees_mutation_between_executions() {
     let mut db = boundary_db(BATCH_SIZE + 5);
     let stmt = PreparedStatement::parse("SELECT g, COUNT(*), SUM(v) FROM t GROUP BY g ORDER BY g")
         .unwrap();
-    let (before, _) = stmt.execute(&db, PlanMode::Columnar).unwrap();
+    let (before, _) = stmt.execute(&db).unwrap();
     for i in 0..10 {
         let id = (BATCH_SIZE + 5 + i) as i64;
         db.insert("t", vec![id.into(), id.into(), Value::Real(id as f64), (id % 7).into()])
             .unwrap();
     }
-    let (after, _) = stmt.execute(&db, PlanMode::Columnar).unwrap();
+    let (after, _) = stmt.execute(&db).unwrap();
     assert_ne!(
         rendered(&before.rows),
         rendered(&after.rows),
         "second execution must see the inserted rows, not a stale snapshot"
     );
-    // And the refreshed result still matches the row-path authority.
-    let (opt, _) = stmt.execute(&db, PlanMode::Optimized).unwrap();
-    assert_eq!(rendered(&after.rows), rendered(&opt.rows));
+    // And the refreshed result still matches the nested-loop oracle.
+    let (nl, _) = execute_with_stats_mode(&db, stmt.sql(), PlanMode::NestedLoop).unwrap();
+    assert_eq!(rendered(&after.rows), rendered(&nl.rows));
 }

@@ -2,9 +2,9 @@
 //!
 //! Every test triangulates three execution paths on the same query:
 //!
-//! 1. `PlanMode::Optimized` with the default [`PlanCache`] — correlated
+//! 1. `PlanMode::Columnar` with the default [`PlanCache`] — correlated
 //!    subqueries decorrelate into hash semi/anti/group joins;
-//! 2. `PlanMode::Optimized` with [`PlanCache::without_decorrelation`] — the
+//! 2. `PlanMode::Columnar` with [`PlanCache::without_decorrelation`] — the
 //!    per-outer-row cached-plan path the rewrite replaced;
 //! 3. `PlanMode::NestedLoop` — the legacy reference executor, which never
 //!    decorrelates and never caches.
@@ -90,12 +90,12 @@ const QUERIES: &[&str] = &[
 fn triangulate(db: &Database, sql: &str) -> ExecStats {
     let stmt = parse_select(sql).unwrap();
     let (decorr, stats, _) =
-        execute_select_with_plan_cache(db, &stmt, PlanMode::Optimized, PlanCache::default())
+        execute_select_with_plan_cache(db, &stmt, PlanMode::Columnar, PlanCache::default())
             .unwrap();
     let (perrow, perrow_stats, _) = execute_select_with_plan_cache(
         db,
         &stmt,
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         PlanCache::without_decorrelation(),
     )
     .unwrap();
@@ -186,7 +186,7 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
     ] {
         let stmt = parse_select(sql).unwrap();
         let decorr =
-            execute_select_with_plan_cache(&db, &stmt, PlanMode::Optimized, PlanCache::default());
+            execute_select_with_plan_cache(&db, &stmt, PlanMode::Columnar, PlanCache::default());
         let legacy =
             execute_select_with_plan_cache(&db, &stmt, PlanMode::NestedLoop, PlanCache::default());
         match (decorr, legacy) {
@@ -196,7 +196,7 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
             }
             (Err(_), Err(_)) => {}
             (a, b) => panic!(
-                "error-status divergence for {sql}: optimized {:?} vs nested-loop {:?}",
+                "error-status divergence for {sql}: columnar {:?} vs nested-loop {:?}",
                 a.map(|(rs, ..)| rs.rows),
                 b.map(|(rs, ..)| rs.rows)
             ),
@@ -204,10 +204,10 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
     }
     // With no correlation-key overlap, the reference never evaluates the
     // erroring expression at all — the statement must succeed on the
-    // (refused-rewrite) optimized path too. Only non-*pushable* residuals
+    // (refused-rewrite) columnar path too. Only non-*pushable* residuals
     // qualify here: a pushable erroring conjunct (e.g. a bare function
     // call on the inner relation) is evaluated per scan row by predicate
-    // pushdown in optimized mode regardless of decorrelation, which is the
+    // pushdown in columnar mode regardless of decorrelation, which is the
     // engine's documented plan-dependent error behaviour.
     let disjoint = two_tables("0123", "xxxx");
     for sql in [
@@ -222,7 +222,7 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
         let (rs, stats, _) = execute_select_with_plan_cache(
             &disjoint,
             &stmt,
-            PlanMode::Optimized,
+            PlanMode::Columnar,
             PlanCache::default(),
         )
         .unwrap();

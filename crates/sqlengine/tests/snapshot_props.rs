@@ -18,18 +18,19 @@
 //!   pre-commit snapshot first so that the copy-on-write clone inherits a
 //!   built one: the touched table's must be rebuilt, every other table's
 //!   shared (`Arc::ptr_eq`);
-//! * query results of a battery in all three plan modes;
+//! * query results of a battery in both plan modes;
 //! * the snapshot version epoch and per-table dependency fingerprints.
 //!
-//! Pinned-snapshot isolation and COW granularity (`Arc::ptr_eq` witnesses)
-//! are covered by the `proptest!` properties below the oracle.
+//! Pinned-snapshot isolation, COW granularity (`Arc::ptr_eq` witnesses) and
+//! primary-key collisions (both paths refuse, nothing is published) are
+//! covered by the `proptest!` properties below the oracle.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use seed_sqlengine::{
-    commit_statement, commit_statement_rebuild, execute_with_stats_mode, ColumnDef, DataType,
-    Database, PlanMode, PreparedStatement, TableSchema, Value, ValueSample,
+    commit_statement, commit_statement_rebuild, execute_statement, execute_with_stats_mode,
+    ColumnDef, DataType, Database, PlanMode, PreparedStatement, TableSchema, Value, ValueSample,
 };
 
 /// The tables of [`fresh_db`].
@@ -106,7 +107,7 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<Vec<String>> {
     rows.iter().map(|r| r.iter().map(Value::render).collect()).collect()
 }
 
-/// Read-query battery run against both databases in all three plan modes at
+/// Read-query battery run against both databases in both plan modes at
 /// the end of every oracle case.
 const QUERIES: &[&str] = &[
     "SELECT id, k, v FROM t1",
@@ -153,18 +154,17 @@ fn assert_observably_identical(inc: &Database, reb: &Database, ids_issued: i64, 
     // reflexively: the sentinel behaviour for unknown tables.
     let unknown = vec!["nope".to_string()];
     assert_eq!(inc.dependency_fingerprint(&unknown), reb.dependency_fingerprint(&unknown));
-    // Query battery, three-way per database, then across databases.
+    // Query battery, both modes per database, then across databases.
     for sql in QUERIES {
         let mut per_db = Vec::new();
         for db in [inc, reb] {
             let mut per_mode = Vec::new();
-            for mode in [PlanMode::Columnar, PlanMode::Optimized, PlanMode::NestedLoop] {
+            for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
                 let (rs, _) = execute_with_stats_mode(db, sql, mode)
                     .unwrap_or_else(|e| panic!("{sql} failed ({mode:?}): {e} ({ctx})"));
                 per_mode.push((rs.columns.clone(), rendered(&rs.rows)));
             }
             assert_eq!(per_mode[0], per_mode[1], "mode divergence on {sql}: {ctx}");
-            assert_eq!(per_mode[1], per_mode[2], "mode divergence on {sql}: {ctx}");
             per_db.push(per_mode.remove(0));
         }
         assert_eq!(per_db[0], per_db[1], "incremental vs rebuild on {sql}: {ctx}");
@@ -356,21 +356,92 @@ proptest! {
         }
         let stmt = PreparedStatement::parse("SELECT id, k, v FROM t1").unwrap();
         let pin = db.clone();
-        let (before, _) = stmt.execute(&pin, PlanMode::Columnar).unwrap();
+        let (before, _) = stmt.execute(&pin).unwrap();
         for (step, c) in s.chars().enumerate() {
             let Some(sql) = decode_op(c, step, &mut next_id) else { continue };
             db = commit_statement(&db, &sql).unwrap().db;
         }
         // Fresh snapshot: the cached statement re-executes against the new
         // chunks (a stale-generation replay would panic or show old rows).
-        let (after, _) = stmt.execute(&db, PlanMode::Columnar).unwrap();
+        let (after, _) = stmt.execute(&db).unwrap();
         prop_assert_eq!(
             rendered(&after.rows),
             rendered(db.table("t1").unwrap().rows()),
             "prepared statement must see the post-commit table"
         );
         // Old pin: still served, still byte-identical.
-        let (pinned, _) = stmt.execute(&pin, PlanMode::Columnar).unwrap();
+        let (pinned, _) = stmt.execute(&pin).unwrap();
         prop_assert_eq!(rendered(&pinned.rows), rendered(&before.rows));
+    }
+
+    /// Primary-key collisions, on top of a random program. A statement that
+    /// would leave two `sql_cmp`-equal keys in `t1` — an existing key, one
+    /// key twice in one INSERT, numeric text equal to an integer key, an
+    /// UPDATE onto another row's key, several rows updated onto one key —
+    /// fails on the incremental path, on the rebuild oracle, and through
+    /// `execute_statement`, and the snapshot stays as it was. Two rows
+    /// swapping keys, or every row keeping its own, is no collision: both
+    /// paths commit it and stay observably identical.
+    #[test]
+    fn primary_key_collisions_fail_on_both_paths_and_publish_nothing(
+        s in "[0-9a-fuUmdDwW .]{0,16}",
+        pick in "[0-9]{2}",
+    ) {
+        let mut db = fresh_db();
+        let mut next_id = 0i64;
+        for (step, c) in "012".chars().chain(s.chars()).enumerate() {
+            let Some(sql) = decode_op(c, step, &mut next_id) else { continue };
+            db = commit_statement(&db, &sql).unwrap().db;
+        }
+        while db.table("t1").unwrap().len() < 2 {
+            let sql = format!("INSERT INTO t1 VALUES ({next_id}, 'apple', 'echo')");
+            next_id += 1;
+            db = commit_statement(&db, &sql).unwrap().db;
+        }
+        let ids: Vec<i64> = db
+            .table("t1")
+            .unwrap()
+            .rows()
+            .iter()
+            .map(|r| r[0].as_i64().expect("integer key"))
+            .collect();
+        let digits: Vec<usize> = pick.chars().map(|c| c as usize - '0' as usize).collect();
+        let a = ids[digits[0] % ids.len()];
+        let b = ids[(digits[0] + 1 + digits[1] % (ids.len() - 1)) % ids.len()];
+        let fresh = next_id;
+        let collisions = [
+            format!("INSERT INTO t1 VALUES ({a}, 'dup', 'dup')"),
+            format!("INSERT INTO t1 VALUES ({fresh}, 'x', 'x'), ({fresh}, 'y', 'y')"),
+            format!("INSERT INTO t1 VALUES ('{a}', 'text', 'text')"),
+            format!("UPDATE t1 SET id = {b} WHERE id = {a}"),
+            format!("UPDATE t1 SET id = {fresh}"),
+        ];
+        for sql in &collisions {
+            prop_assert!(commit_statement(&db, sql).is_err(), "incremental accepted {}", sql);
+            prop_assert!(commit_statement_rebuild(&db, sql).is_err(), "rebuild accepted {}", sql);
+            let mut direct = db.clone();
+            prop_assert!(execute_statement(&mut direct, sql).is_err(), "direct accepted {}", sql);
+            prop_assert_eq!(direct.version(), db.version(), "failed {} bumped the epoch", sql);
+            for name in TABLES {
+                prop_assert!(
+                    Arc::ptr_eq(direct.table_arc(name).unwrap(), db.table_arc(name).unwrap()),
+                    "failed {} replaced table {}", sql, name
+                );
+            }
+        }
+        let allowed = [
+            format!(
+                "UPDATE t1 SET id = CASE WHEN id = {a} THEN {b} ELSE {a} END \
+                 WHERE id = {a} OR id = {b}"
+            ),
+            "UPDATE t1 SET id = id".to_string(),
+        ];
+        for sql in &allowed {
+            let inc = commit_statement(&db, sql).unwrap_or_else(|e| panic!("inc: {e}: {sql}"));
+            let reb =
+                commit_statement_rebuild(&db, sql).unwrap_or_else(|e| panic!("reb: {e}: {sql}"));
+            prop_assert_eq!(inc.rows_affected, reb.rows_affected);
+            assert_observably_identical(&inc.db, &reb.db, next_id, sql);
+        }
     }
 }

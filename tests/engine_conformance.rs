@@ -1,13 +1,14 @@
 //! Engine conformance tests over the synthetic corpora: every gold query of
 //! every benchmark must parse, execute, and be stable across repeated runs,
 //! the execution-accuracy comparator must behave as a congruence, and the
-//! physical planner (hash joins, PK lookups, predicate pushdown) must be
-//! result-identical to the legacy nested-loop executor on every query.
+//! columnar executor of the physical plans (hash joins, PK lookups,
+//! predicate pushdown) must be result-identical to the legacy nested-loop
+//! executor on every query.
 
 use seed_repro::datasets::{bird::build_bird, spider::build_spider, CorpusConfig};
 use seed_repro::sqlengine::{
-    commit_statement, execute, execute_select_with_plan_cache, execute_with_stats,
-    execute_with_stats_mode, parse_select, plan_select, PlanCache, PlanMode,
+    commit_statement, execute, execute_select_with_plan_cache, execute_with_stats_mode,
+    parse_select, plan_select, PlanCache, PlanMode,
 };
 
 #[test]
@@ -28,8 +29,8 @@ fn execution_is_deterministic_and_costed() {
     let bird = build_bird(&CorpusConfig::tiny());
     for q in bird.questions.iter().take(40) {
         let db = bird.database(&q.db_id).unwrap();
-        let (a, stats_a) = execute_with_stats(db, &q.gold_sql).unwrap();
-        let (b, stats_b) = execute_with_stats(db, &q.gold_sql).unwrap();
+        let (a, stats_a) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::default()).unwrap();
+        let (b, stats_b) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::default()).unwrap();
         assert!(a.result_eq(&b));
         assert_eq!(stats_a, stats_b, "cost model must be deterministic");
         assert!(stats_a.cost() > 0.0);
@@ -37,11 +38,11 @@ fn execution_is_deterministic_and_costed() {
 }
 
 /// The planner-equivalence property: for every gold query of both corpora,
-/// the optimized plan (hash joins, PK lookups, pushdown) and the vectorized
-/// columnar pipeline must both produce the same rows as the legacy
-/// nested-loop executor — not just the same multiset (`result_eq`), but the
-/// same row *order*, so that LIMIT-without-ORDER-BY queries cannot diverge
-/// between plans.
+/// the optimized plan (hash joins, PK lookups, pushdown) run by the
+/// vectorized columnar pipeline must produce the same header and rows as the
+/// legacy nested-loop executor — not just the same multiset (`result_eq`),
+/// but the same row *order*, so that LIMIT-without-ORDER-BY queries cannot
+/// diverge between plans.
 #[test]
 fn optimized_plans_match_nested_loop_on_every_gold_query() {
     let bird = build_bird(&CorpusConfig::tiny());
@@ -50,36 +51,29 @@ fn optimized_plans_match_nested_loop_on_every_gold_query() {
     for bench in [&bird, &spider] {
         for q in &bench.questions {
             let db = bench.database(&q.db_id).unwrap();
-            let (opt, _) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Optimized)
-                .unwrap_or_else(|e| panic!("{}: optimized failed: {e:?} ({})", q.id, q.gold_sql));
             let (col, _) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Columnar)
                 .unwrap_or_else(|e| panic!("{}: columnar failed: {e:?} ({})", q.id, q.gold_sql));
             let (legacy, _) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::NestedLoop)
                 .unwrap_or_else(|e| panic!("{}: legacy failed: {e:?} ({})", q.id, q.gold_sql));
             assert!(
-                opt.result_eq(&legacy),
-                "{}: result mismatch\nsql: {}\noptimized: {:?}\nlegacy: {:?}",
+                col.result_eq(&legacy),
+                "{}: result mismatch\nsql: {}\ncolumnar: {:?}\nlegacy: {:?}",
                 q.id,
                 q.gold_sql,
-                opt.rows,
+                col.rows,
                 legacy.rows
             );
             assert_eq!(
-                opt.rows.len(),
+                col.rows.len(),
                 legacy.rows.len(),
                 "{}: row-count mismatch ({})",
                 q.id,
                 q.gold_sql
             );
-            assert_eq!(opt.rows, legacy.rows, "{}: row-order mismatch ({})", q.id, q.gold_sql);
+            assert_eq!(col.rows, legacy.rows, "{}: row-order mismatch ({})", q.id, q.gold_sql);
             assert_eq!(
-                col.columns, opt.columns,
+                col.columns, legacy.columns,
                 "{}: columnar header mismatch ({})",
-                q.id, q.gold_sql
-            );
-            assert_eq!(
-                col.rows, opt.rows,
-                "{}: columnar row/order mismatch ({})",
                 q.id, q.gold_sql
             );
             checked += 1;
@@ -105,7 +99,7 @@ fn hash_join_plans_cost_less_than_nested_loop() {
                 continue;
             }
             hash_cases += 1;
-            let (_, opt) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Optimized).unwrap();
+            let (_, opt) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Columnar).unwrap();
             let (_, legacy) =
                 execute_with_stats_mode(db, &q.gold_sql, PlanMode::NestedLoop).unwrap();
             assert!(
@@ -125,14 +119,14 @@ fn hash_join_plans_cost_less_than_nested_loop() {
     );
 }
 
-/// The optimized executor's stats are part of the VES contract: repeated
-/// runs of the same query must report identical statistics in both modes.
+/// The executors' stats are part of the VES contract: repeated runs of the
+/// same query must report identical statistics in both modes.
 #[test]
 fn optimized_stats_are_deterministic() {
     let bird = build_bird(&CorpusConfig::tiny());
     for q in bird.questions.iter().take(40) {
         let db = bird.database(&q.db_id).unwrap();
-        for mode in [PlanMode::Optimized, PlanMode::Columnar, PlanMode::NestedLoop] {
+        for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
             let (a, stats_a) = execute_with_stats_mode(db, &q.gold_sql, mode).unwrap();
             let (b, stats_b) = execute_with_stats_mode(db, &q.gold_sql, mode).unwrap();
             assert!(a.result_eq(&b));
@@ -144,7 +138,7 @@ fn optimized_stats_are_deterministic() {
 
 /// Subquery plan caching must be pure observability: every gold query of
 /// both corpora stays row-identical (order included) between the cached
-/// optimized path and the nested-loop reference — this is asserted per query
+/// columnar path and the nested-loop reference — this is asserted per query
 /// by `optimized_plans_match_nested_loop_on_every_gold_query` above, which
 /// now runs entirely through the per-statement plan cache. Here we assert
 /// the cache engages on every gold query (the top-level statement itself
@@ -158,8 +152,8 @@ fn plan_cache_engages_on_every_gold_query() {
     for bench in [&bird, &spider] {
         for q in &bench.questions {
             let db = bench.database(&q.db_id).unwrap();
-            let (_, a) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Optimized).unwrap();
-            let (_, b) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Optimized).unwrap();
+            let (_, a) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Columnar).unwrap();
+            let (_, b) = execute_with_stats_mode(db, &q.gold_sql, PlanMode::Columnar).unwrap();
             assert!(
                 a.plan_cache_misses >= 1,
                 "{}: the top-level statement plans through the cache",
@@ -192,7 +186,7 @@ fn correlated_subquery_plans_once_and_hits_thereafter() {
     let sql = "SELECT account_id FROM account \
                WHERE account_id > (SELECT AVG(T.account_id) FROM account AS T \
                                    WHERE T.district_id = account.district_id)";
-    let (rs, stats) = execute_with_stats_mode(db, sql, PlanMode::Optimized).unwrap();
+    let (rs, stats) = execute_with_stats_mode(db, sql, PlanMode::Columnar).unwrap();
     let (legacy, _) = execute_with_stats_mode(db, sql, PlanMode::NestedLoop).unwrap();
     assert_eq!(rs.rows, legacy.rows, "caching must not change results");
     assert_eq!(stats.plan_cache_misses, 2, "one plan for the outer query, one for the subquery");
@@ -212,7 +206,7 @@ fn correlated_subquery_plans_once_and_hits_thereafter() {
     let sql = "SELECT account_id FROM account AS outer_a \
                WHERE account_id > (SELECT AVG(T.account_id) FROM account AS T \
                                    WHERE T.district_id = outer_a.district_id)";
-    let (rs, stats) = execute_with_stats_mode(db, sql, PlanMode::Optimized).unwrap();
+    let (rs, stats) = execute_with_stats_mode(db, sql, PlanMode::Columnar).unwrap();
     let (legacy, _) = execute_with_stats_mode(db, sql, PlanMode::NestedLoop).unwrap();
     assert_eq!(rs.rows, legacy.rows, "decorrelation must not change results");
     assert_eq!(stats.plan_cache_misses, 2, "one plan for the outer query, one for the build side");
@@ -233,7 +227,7 @@ fn correlated_subquery_plans_once_and_hits_thereafter() {
     let (norw, norw_stats, _) = execute_select_with_plan_cache(
         db,
         &stmt,
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         PlanCache::without_decorrelation(),
     )
     .unwrap();
@@ -288,8 +282,8 @@ fn gold_queries_stay_within_columnar_fallback_budget() {
 
 /// Mutate-then-query conformance: after committing writes against a gold
 /// corpus database through the copy-on-write commit path, every gold query
-/// of that database must still be row-identical (order included) across all
-/// three plan modes — and still run *fully* columnar. Incrementally
+/// of that database must still be row-identical (order included) between
+/// both plan modes — and still run *fully* columnar. Incrementally
 /// maintained PK indexes and restamped chunks must be indistinguishable
 /// from freshly built ones, fallback budget included.
 #[test]
@@ -328,7 +322,7 @@ fn gold_queries_stay_conformant_and_fully_columnar_after_commits() {
             .chain(
                 // Update a non-PK column to itself on a slice of rows:
                 // contents unchanged, but the COW/update machinery (PK
-                // remove+insert, chunk restamp, BM25 extension) fully runs.
+                // remove+insert, chunk restamp, value-sample drop) fully runs.
                 (width > 1)
                     .then(|| {
                         let col = &table.schema.columns[if pk == 0 { 1 } else { 0 }].name;
@@ -345,17 +339,15 @@ fn gold_queries_stay_conformant_and_fully_columnar_after_commits() {
                 db = outcome.db;
             }
         }
-        // Every gold query of this database: three-way identical, zero
+        // Every gold query of this database: identical in both modes, zero
         // fallbacks, no mixed-mode statements.
         let mut checked = 0usize;
         for q in bird.questions.iter().filter(|q| q.db_id == base.name()) {
             let (col, stats) = execute_with_stats_mode(&db, &q.gold_sql, PlanMode::Columnar)
                 .unwrap_or_else(|e| panic!("{}: columnar failed post-commit: {e:?}", q.id));
-            let (opt, _) = execute_with_stats_mode(&db, &q.gold_sql, PlanMode::Optimized).unwrap();
             let (legacy, _) =
                 execute_with_stats_mode(&db, &q.gold_sql, PlanMode::NestedLoop).unwrap();
-            assert_eq!(col.rows, opt.rows, "{}: columnar diverged post-commit", q.id);
-            assert_eq!(opt.rows, legacy.rows, "{}: optimized diverged post-commit", q.id);
+            assert_eq!(col.rows, legacy.rows, "{}: columnar diverged post-commit", q.id);
             assert_eq!(
                 stats.columnar_fallbacks, 0,
                 "{}: commits must not demote operators to the row bridge ({})",

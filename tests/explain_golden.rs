@@ -3,7 +3,7 @@
 //!
 //! The golden half pins the exact `EXPLAIN` rendering — plan mode, operator
 //! tree, decorrelation verdicts, columnar bridge notes — for a battery of
-//! representative queries across all three plan modes against files in
+//! representative queries in both plan modes against files in
 //! `tests/golden/`. `EXPLAIN` is purely static (plans, never executes), so
 //! its output is byte-deterministic and safe to pin. Regenerate after an
 //! intentional planner/renderer change with:
@@ -73,17 +73,10 @@ fn test_db() -> Database {
 const CASES: &[(&str, PlanMode, &str)] = &[
     (
         "seqscan_pushdown",
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         "SELECT loan_id FROM loan WHERE amount > 100 AND status = 'A'",
     ),
-    ("pk_lookup", PlanMode::Optimized, "SELECT district_id FROM account WHERE account_id = 5"),
-    (
-        "hash_join_optimized",
-        PlanMode::Optimized,
-        "SELECT account.district_id, loan.amount FROM account \
-         INNER JOIN loan ON account.account_id = loan.account_id \
-         WHERE loan.amount > 50 ORDER BY loan.loan_id",
-    ),
+    ("pk_lookup", PlanMode::Columnar, "SELECT district_id FROM account WHERE account_id = 5"),
     (
         "hash_join_columnar",
         PlanMode::Columnar,
@@ -107,13 +100,13 @@ const CASES: &[(&str, PlanMode, &str)] = &[
     ),
     (
         "exists_decorrelated",
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         "SELECT account_id FROM account WHERE EXISTS \
          (SELECT 1 FROM loan WHERE loan.account_id = account.account_id AND loan.amount > 500)",
     ),
     (
         "scalar_aggregate_group_join",
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         "SELECT loan_id FROM loan WHERE amount > \
          (SELECT AVG(l2.amount) FROM loan AS l2 WHERE l2.account_id = loan.account_id)",
     ),
@@ -125,7 +118,7 @@ const CASES: &[(&str, PlanMode, &str)] = &[
     ),
     (
         "decorrelation_refused",
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         "SELECT account_id FROM account WHERE EXISTS \
          (SELECT 1 FROM loan WHERE loan.account_id > account.account_id)",
     ),
@@ -138,7 +131,7 @@ const CASES: &[(&str, PlanMode, &str)] = &[
     ),
     (
         "derived_table",
-        PlanMode::Optimized,
+        PlanMode::Columnar,
         "SELECT x.d FROM (SELECT district_id AS d FROM account WHERE account_id < 10) AS x \
          ORDER BY x.d",
     ),
@@ -181,23 +174,26 @@ fn explain_matches_golden_files() {
 fn explain_is_reachable_through_the_sql_surface() {
     let db = test_db();
     // `EXPLAIN <select>` executes as a statement and returns the rendering
-    // as one QUERY PLAN row per line, under the default (Optimized) mode.
+    // as one QUERY PLAN row per line, under the default (Columnar) mode.
     let rs = execute(&db, "EXPLAIN SELECT loan_id FROM loan WHERE amount > 100").unwrap();
     assert_eq!(rs.columns, vec!["QUERY PLAN".to_string()]);
     let lines: Vec<String> = rs.rows.iter().map(|r| r[0].render()).collect();
-    assert_eq!(lines[0], "Plan mode: Optimized");
+    assert_eq!(lines[0], "Plan mode: Columnar");
     assert!(lines.iter().any(|l| l.contains("SeqScan loan")), "{lines:?}");
     // And `explain_sql` accepts the same text under an explicit mode.
-    let columnar =
-        explain_sql(&db, "EXPLAIN SELECT loan_id FROM loan WHERE amount > 100", PlanMode::Columnar)
-            .unwrap();
-    assert_eq!(columnar.rows[0][0].render(), "Plan mode: Columnar");
+    let nested = explain_sql(
+        &db,
+        "EXPLAIN SELECT loan_id FROM loan WHERE amount > 100",
+        PlanMode::NestedLoop,
+    )
+    .unwrap();
+    assert_eq!(nested.rows[0][0].render(), "Plan mode: NestedLoop");
 }
 
 #[test]
 fn explain_analyze_renders_measurements_in_every_mode() {
     let db = test_db();
-    for mode in [PlanMode::Optimized, PlanMode::Columnar, PlanMode::NestedLoop] {
+    for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
         let rs = explain_sql(
             &db,
             "EXPLAIN ANALYZE SELECT account.district_id, loan.amount FROM account \
@@ -241,7 +237,7 @@ fn plain_explain_never_contains_measurements() {
 fn explain_analyze_timings_never_leak_into_stats_or_rows() {
     let db = test_db();
     for (name, _, sql) in CASES {
-        for mode in [PlanMode::Optimized, PlanMode::Columnar, PlanMode::NestedLoop] {
+        for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
             let stmt = parse_select(sql).unwrap();
             let (profiled_rows, profiled_stats, _, profile) =
                 execute_select_profiled(&db, &stmt, mode, PlanCache::default()).unwrap();
