@@ -235,6 +235,7 @@ fn engine_benches(c: &mut Criterion) {
     let correlated_sql = "SELECT a.id FROM t AS a \
                           WHERE a.amount > (SELECT AVG(b.amount) FROM t AS b WHERE b.g = a.g)";
     let correlated_stmt = parse_select(correlated_sql).unwrap();
+    let queries = correlated_stmt.query_count();
     for (scale, rows) in [("1x", BASE_CORRELATED_ROWS), ("10x", BASE_CORRELATED_ROWS * 10)] {
         let db = synthetic_db(rows);
         c.bench_function(&format!("engine/correlated_decorrelated_{scale}"), |b| {
@@ -243,7 +244,7 @@ fn engine_benches(c: &mut Criterion) {
                     &db,
                     &correlated_stmt,
                     PlanMode::Columnar,
-                    PlanCache::default(),
+                    &PlanCache::new(queries),
                 )
                 .unwrap()
             })
@@ -254,27 +255,27 @@ fn engine_benches(c: &mut Criterion) {
                     &db,
                     &correlated_stmt,
                     PlanMode::Columnar,
-                    PlanCache::without_decorrelation(),
+                    &PlanCache::without_decorrelation(queries),
                 )
                 .unwrap()
             })
         });
-        let (rs, stats, _) = execute_select_with_plan_cache(
+        let (rs, stats) = execute_select_with_plan_cache(
             &db,
             &correlated_stmt,
             PlanMode::Columnar,
-            PlanCache::default(),
+            &PlanCache::new(queries),
         )
         .unwrap();
         assert!(
             stats.decorrelated_subqueries >= 1,
             "correlated workload must engage the decorrelation rewrite"
         );
-        let (rs_cached, cached_stats, _) = execute_select_with_plan_cache(
+        let (rs_cached, cached_stats) = execute_select_with_plan_cache(
             &db,
             &correlated_stmt,
             PlanMode::Columnar,
-            PlanCache::without_decorrelation(),
+            &PlanCache::without_decorrelation(queries),
         )
         .unwrap();
         assert_eq!(rs.rows, rs_cached.rows, "both strategies must agree row-for-row");

@@ -192,7 +192,7 @@ impl<'a> ExperimentRunner<'a> {
         }
     }
 
-    /// Number of distinct statements pinned in the runner's shared plan
+    /// Number of distinct statements cached in the runner's shared plan
     /// cache so far.
     pub fn plans_cached(&self) -> usize {
         self.plans.len()
@@ -380,10 +380,10 @@ mod tests {
         let system = CodeS::new(7);
         r.evaluate(&system, EvidenceSetting::WithoutEvidence);
         let after_first = r.plans_cached();
-        assert!(after_first > 0, "gold and predicted statements are pinned");
+        assert!(after_first > 0, "gold and predicted statements are cached");
         let rerun = r.evaluate(&system, EvidenceSetting::WithoutEvidence).stats;
         assert_eq!(rerun.plan_cache_misses, 0, "a repeated run plans nothing");
-        assert!(rerun.plan_cache_hits > 0, "a repeated run replays pinned plans");
+        assert!(rerun.plan_cache_hits > 0, "a repeated run replays cached plans");
         assert_eq!(r.plans_cached(), after_first, "an identical run introduces no new statements");
     }
 

@@ -41,9 +41,11 @@
 //!
 //! * **Plans** — one process-wide [`SharedPlanCache`] per server, striped
 //!   internally: a repeated statement parses and plans once, then every
-//!   execution (any worker, any session) replays the pinned plan. Plans
+//!   execution (any worker, any session) replays the cached plan. Plans
 //!   depend only on the schema, so they survive commits untouched. Reuse is
-//!   visible as `plan_cache_hits` in each statement's [`ExecStats`].
+//!   visible as `plan_cache_hits` in each statement's [`ExecStats`]. The
+//!   cache holds at most [`seed_sqlengine::MAX_PREPARED_STATEMENTS`]
+//!   statements; past that, a new statement evicts one from its stripe.
 //! * **Results** — a statement's result is a pure function of its text
 //!   *and the versions of the tables it reads*. Entries are therefore
 //!   keyed two-level: the statement's **dependency fingerprint**
@@ -51,8 +53,8 @@
 //!   referenced tables' generations), then its text. A commit that touches
 //!   a statement's tables changes the fingerprint — the old entry simply
 //!   stops being probed — while entries for statements over *untouched*
-//!   tables keep hitting across snapshots. With
-//!   [`ServeConfig::cache_results`] on (the default), each distinct
+//!   tables keep hitting across snapshots. With a non-zero
+//!   [`ServeConfig::result_cache_cap`] (the default), each distinct
 //!   (fingerprint, statement) pair *executes exactly once*: an **in-flight
 //!   execution table** (one slot per stripe entry) makes concurrent
 //!   submissions of the same statement block on the one canonical
@@ -178,18 +180,14 @@ pub struct ServeConfig {
     /// everywhere — [`Server::new`] and batch admission both clamp, so a
     /// zero written via a struct literal can never reach the pool.
     pub workers: usize,
-    /// Serve repeated statements from the shared result cache and dedup
-    /// concurrent executions of the same statement. Sound because the
-    /// snapshot is frozen for the server's lifetime; disable only to
-    /// measure raw execution throughput.
-    pub cache_results: bool,
     /// Approximate maximum number of distinct statements the result cache
     /// holds. The cap is distributed over the cache's lock stripes: each
     /// stripe holds at most `ceil(result_cache_cap / stripes)` entries
     /// (minimum 1), evicting its least-recently-served entry on overflow —
     /// so the true bound is `stripes * ceil(result_cache_cap / stripes)`,
     /// i.e. within one entry per stripe of the configured cap. `0`
-    /// disables result caching (and in-flight dedup) entirely.
+    /// disables result caching (and in-flight dedup) entirely, e.g. to
+    /// measure raw execution throughput.
     pub result_cache_cap: usize,
     /// Allow more workers than the host has hardware threads. Off by
     /// default: a worker thread beyond `available_parallelism()` can never
@@ -216,7 +214,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: 4,
-            cache_results: true,
             result_cache_cap: 1024,
             oversubscribe: false,
             // 50ms: far above anything the in-memory engine serves under
@@ -284,7 +281,8 @@ pub struct ServerStats {
     /// in-flight execution. Exact under dedup: `statements − distinct
     /// statements` whenever the distinct set fits the cache cap.
     pub result_cache_hits: u64,
-    /// Distinct statements pinned in the shared plan cache.
+    /// Distinct statements cached in the shared plan cache (at most
+    /// [`seed_sqlengine::MAX_PREPARED_STATEMENTS`]).
     pub prepared_statements: usize,
     /// Sum of every served statement's [`ExecStats`], merged without double
     /// counting via [`ExecStats::merge`].
@@ -458,7 +456,7 @@ struct ShardedResultCache {
 impl ShardedResultCache {
     fn new(workers: usize, config: &ServeConfig) -> Self {
         let n = workers.max(MIN_RESULT_SHARDS).next_power_of_two();
-        let cap = if config.cache_results { config.result_cache_cap } else { 0 };
+        let cap = config.result_cache_cap;
         let stripe_cap = if cap == 0 { 0 } else { cap.div_ceil(n) };
         ShardedResultCache {
             shards: (0..n)
@@ -1470,7 +1468,7 @@ mod tests {
 
     #[test]
     fn result_cache_can_be_disabled() {
-        let config = ServeConfig { cache_results: false, ..ServeConfig::serial() };
+        let config = ServeConfig { result_cache_cap: 0, ..ServeConfig::serial() };
         let server = Server::new(snapshot(), config);
         let stmts = workload();
         let outcomes = server.execute_batch(&stmts);
@@ -1478,6 +1476,35 @@ mod tests {
         assert_eq!(server.snapshot_stats().result_cache_hits, 0);
         // Plans are still shared even when results are not.
         assert_eq!(server.snapshot_stats().prepared_statements, 4);
+    }
+
+    #[test]
+    fn plan_cache_stays_bounded_under_distinct_statements() {
+        let mut db = Database::new("bounded");
+        execute_statement(&mut db, "CREATE TABLE t (id INTEGER PRIMARY KEY)").unwrap();
+        for i in 0..20 {
+            execute_statement(&mut db, &format!("INSERT INTO t VALUES ({i})")).unwrap();
+        }
+        let db = Arc::new(db);
+        // No result cache, so every repeat goes through the plan cache.
+        let config = ServeConfig { result_cache_cap: 0, ..ServeConfig::serial() };
+        let server = Server::new(Arc::clone(&db), config);
+        let cap = seed_sqlengine::MAX_PREPARED_STATEMENTS;
+        let sql = |i: usize| format!("SELECT id FROM t WHERE id > {i}");
+        for i in 0..cap + 500 {
+            let served = server.execute(&sql(i)).unwrap();
+            assert_eq!(served.result.rows, execute(&db, &sql(i)).unwrap().rows);
+            assert!(server.snapshot_stats().prepared_statements <= cap);
+        }
+        // An evicted statement parses and plans again, with the same rows.
+        let (i, rerun) = (0..cap + 500)
+            .find_map(|i| {
+                let served = server.execute(&sql(i)).unwrap();
+                (served.stats.plan_cache_misses > 0).then_some((i, served))
+            })
+            .expect("500 statements past the cap evict some entry");
+        assert_eq!(rerun.result.rows, execute(&db, &sql(i)).unwrap().rows);
+        assert!(server.snapshot_stats().prepared_statements <= cap);
     }
 
     #[test]

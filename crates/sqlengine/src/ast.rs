@@ -28,7 +28,37 @@ impl Statement {
                 | Statement::CreateTable(_)
         )
     }
+
+    /// Number of [`QueryId`]s the statement spans: one past the largest id
+    /// of any `SELECT` in it (0 when it has none).
+    pub fn query_count(&self) -> usize {
+        let exprs: Vec<&Expr> = match self {
+            Statement::Select(s) | Statement::Explain(ExplainStatement { query: s, .. }) => {
+                return s.query_count();
+            }
+            Statement::Insert(i) => i.rows.iter().flatten().collect(),
+            Statement::Update(u) => {
+                u.assignments.iter().map(|(_, e)| e).chain(&u.where_clause).collect()
+            }
+            Statement::Delete(d) => d.where_clause.iter().collect(),
+            Statement::CreateTable(_) => Vec::new(),
+        };
+        let mut n = 0;
+        for e in exprs {
+            e.visit_queries(&mut |q| n = n.max(q.id.0 + 1));
+        }
+        n
+    }
 }
+
+/// Identifies one `SELECT` within a parsed statement. The parser numbers
+/// every `SELECT` it reads — the statement itself, derived tables,
+/// expression subqueries — densely from 0 in source order, so caches that
+/// live as long as the statement index arrays by id
+/// ([`crate::plan::PlanCache`]). A clone keeps its id: it is the same
+/// query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct QueryId(pub usize);
 
 /// `EXPLAIN [ANALYZE] <select>`: render the physical plan for a query
 /// (ANALYZE additionally executes it and annotates measured per-operator
@@ -78,6 +108,8 @@ pub struct DeleteStatement {
 /// A full `SELECT` statement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectStatement {
+    /// This query's number within its parsed statement.
+    pub id: QueryId,
     pub distinct: bool,
     pub projections: Vec<Projection>,
     pub from: Option<TableRef>,
@@ -94,6 +126,7 @@ impl SelectStatement {
     /// An empty SELECT used as a building block.
     pub fn empty() -> Self {
         SelectStatement {
+            id: QueryId::default(),
             distinct: false,
             projections: Vec::new(),
             from: None,
@@ -128,43 +161,59 @@ impl SelectStatement {
     /// key regardless of query spelling.
     pub fn all_referenced_tables(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_tables(&mut out);
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.visit_queries(&mut |q| q.push_base_tables(&mut out));
+        sorted_set(out)
     }
 
-    fn collect_tables(&self, out: &mut Vec<String>) {
-        fn table_ref(r: &TableRef, out: &mut Vec<String>) {
-            match r {
-                TableRef::Named { table, .. } => out.push(table.to_ascii_lowercase()),
-                TableRef::Derived { query, .. } => query.collect_tables(out),
+    /// Pushes the lowercased base tables of this statement's own FROM/JOIN
+    /// list (derived tables are queries of their own).
+    fn push_base_tables(&self, out: &mut Vec<String>) {
+        for t in self.from.iter().chain(self.joins.iter().map(|j| &j.table)) {
+            if let TableRef::Named { table, .. } = t {
+                out.push(table.to_ascii_lowercase());
             }
         }
-        if let Some(f) = &self.from {
-            table_ref(f, out);
-        }
-        for j in &self.joins {
-            table_ref(&j.table, out);
-            if let Some(on) = &j.on {
-                on.collect_tables(out);
+    }
+
+    /// Calls `f` on this statement and on every `SELECT` nested in it —
+    /// derived tables and expression subqueries at any depth.
+    pub fn visit_queries(&self, f: &mut impl FnMut(&SelectStatement)) {
+        f(self);
+        for t in self.from.iter().chain(self.joins.iter().map(|j| &j.table)) {
+            if let TableRef::Derived { query, .. } = t {
+                query.visit_queries(f);
             }
         }
-        for p in &self.projections {
-            if let Projection::Expr { expr, .. } = p {
-                expr.collect_tables(out);
-            }
-        }
-        for e in self
-            .where_clause
-            .iter()
+        let projections = self.projections.iter().filter_map(|p| match p {
+            Projection::Expr { expr, .. } => Some(expr),
+            _ => None,
+        });
+        for e in projections
+            .chain(self.joins.iter().filter_map(|j| j.on.as_ref()))
+            .chain(&self.where_clause)
             .chain(&self.group_by)
             .chain(&self.having)
             .chain(self.order_by.iter().map(|o| &o.expr))
         {
-            e.collect_tables(out);
+            e.visit_queries(f);
         }
     }
+
+    /// Number of [`QueryId`]s the statement spans: one past the largest id
+    /// in it. A [`crate::plan::PlanCache`] for the statement has this many
+    /// query slots.
+    pub fn query_count(&self) -> usize {
+        let mut n = 0;
+        self.visit_queries(&mut |q| n = n.max(q.id.0 + 1));
+        n
+    }
+}
+
+/// Sorts and deduplicates a table-name list into a stable cache key.
+fn sorted_set(mut names: Vec<String>) -> Vec<String> {
+    names.sort_unstable();
+    names.dedup();
+    names
 }
 
 impl UpdateStatement {
@@ -173,15 +222,10 @@ impl UpdateStatement {
     /// sorted, deduplicated).
     pub fn all_referenced_tables(&self) -> Vec<String> {
         let mut out = vec![self.table.to_ascii_lowercase()];
-        for (_, e) in &self.assignments {
-            e.collect_tables(&mut out);
+        for e in self.assignments.iter().map(|(_, e)| e).chain(&self.where_clause) {
+            e.visit_queries(&mut |q| q.push_base_tables(&mut out));
         }
-        if let Some(w) = &self.where_clause {
-            w.collect_tables(&mut out);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+        sorted_set(out)
     }
 }
 
@@ -192,11 +236,9 @@ impl DeleteStatement {
     pub fn all_referenced_tables(&self) -> Vec<String> {
         let mut out = vec![self.table.to_ascii_lowercase()];
         if let Some(w) = &self.where_clause {
-            w.collect_tables(&mut out);
+            w.visit_queries(&mut |q| q.push_base_tables(&mut out));
         }
-        out.sort_unstable();
-        out.dedup();
-        out
+        sorted_set(out)
     }
 }
 
@@ -569,66 +611,60 @@ impl Expr {
         }
     }
 
-    /// Collects every base-table name reachable from subqueries inside the
-    /// expression tree (lowercased, in discovery order) into `out`. The
-    /// building block of [`SelectStatement::all_referenced_tables`].
-    pub(crate) fn collect_tables(&self, out: &mut Vec<String>) {
+    /// Calls `f` on every `SELECT` inside the expression tree (and on the
+    /// statements nested in those), in source order.
+    pub fn visit_queries(&self, f: &mut impl FnMut(&SelectStatement)) {
         match self {
             Expr::InSubquery { expr, query, .. } => {
-                expr.collect_tables(out);
-                query.collect_tables(out);
+                expr.visit_queries(f);
+                query.visit_queries(f);
             }
-            Expr::Exists { query, .. } => query.collect_tables(out),
-            Expr::ScalarSubquery(q) => q.collect_tables(out),
+            Expr::Exists { query, .. } | Expr::ScalarSubquery(query) => query.visit_queries(f),
             Expr::Literal(_) | Expr::Column { .. } => {}
             Expr::Compare { left, right, .. }
             | Expr::Arith { left, right, .. }
-            | Expr::Concat { left, right } => {
-                left.collect_tables(out);
-                right.collect_tables(out);
+            | Expr::Concat { left, right }
+            | Expr::Like { expr: left, pattern: right, .. }
+            | Expr::And(left, right)
+            | Expr::Or(left, right) => {
+                left.visit_queries(f);
+                right.visit_queries(f);
             }
-            Expr::And(a, b) | Expr::Or(a, b) => {
-                a.collect_tables(out);
-                b.collect_tables(out);
-            }
-            Expr::Not(e) | Expr::Neg(e) => e.collect_tables(out),
-            Expr::Like { expr, pattern, .. } => {
-                expr.collect_tables(out);
-                pattern.collect_tables(out);
-            }
-            Expr::IsNull { expr, .. } => expr.collect_tables(out),
+            Expr::Not(e)
+            | Expr::Neg(e)
+            | Expr::IsNull { expr: e, .. }
+            | Expr::Cast { expr: e, .. } => e.visit_queries(f),
             Expr::InList { expr, list, .. } => {
-                expr.collect_tables(out);
+                expr.visit_queries(f);
                 for e in list {
-                    e.collect_tables(out);
+                    e.visit_queries(f);
                 }
             }
             Expr::Between { expr, low, high, .. } => {
-                expr.collect_tables(out);
-                low.collect_tables(out);
-                high.collect_tables(out);
+                expr.visit_queries(f);
+                low.visit_queries(f);
+                high.visit_queries(f);
             }
             Expr::Aggregate { arg, .. } => {
                 if let Some(a) = arg {
-                    a.collect_tables(out);
+                    a.visit_queries(f);
                 }
             }
             Expr::Function { args, .. } => {
                 for a in args {
-                    a.collect_tables(out);
+                    a.visit_queries(f);
                 }
             }
-            Expr::Cast { expr, .. } => expr.collect_tables(out),
             Expr::Case { operand, branches, else_branch } => {
                 if let Some(o) = operand {
-                    o.collect_tables(out);
+                    o.visit_queries(f);
                 }
                 for (w, t) in branches {
-                    w.collect_tables(out);
-                    t.collect_tables(out);
+                    w.visit_queries(f);
+                    t.visit_queries(f);
                 }
                 if let Some(e) = else_branch {
-                    e.collect_tables(out);
+                    e.visit_queries(f);
                 }
             }
         }

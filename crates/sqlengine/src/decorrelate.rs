@@ -76,11 +76,11 @@
 //!   the build non-self-contained and vetoes the rewrite.
 //!
 //! The rewrite itself is purely schema-driven and deterministic, so
-//! [`crate::plan::PlanCache`] caches the analysis per subquery and
-//! [`crate::prepared::SharedPlanCache`] shares it — rewritten build
-//! statements are `Arc`-pinned, which keeps their plans address-stable and
-//! shareable across statements, sessions, and threads exactly like ordinary
-//! plans. The nested-loop reference mode never decorrelates, so
+//! [`crate::plan::PlanCache`] caches the analysis per subquery and gives the
+//! rewritten build statement a query id and plan slot of its own, and
+//! [`crate::prepared::SharedPlanCache`] shares both across statements,
+//! sessions, and threads exactly like ordinary plans. The nested-loop
+//! reference mode never decorrelates, so
 //! `tests/engine_conformance.rs` and the decorrelation suite can hold the
 //! rewrite to row-identical results on every query.
 //!
@@ -139,9 +139,8 @@ pub enum DecorrelatedKind {
 /// A correlated subquery rewritten into a hash-join build/probe pair.
 ///
 /// The build statement is provably uncorrelated (checked by
-/// [`is_uncorrelated`]) and is boxed so its address stays stable for the
-/// life of this struct — the invariant the address-keyed
-/// [`crate::plan::PlanCache`] needs to cache the build's physical plan.
+/// [`is_uncorrelated`]); [`crate::plan::PlanCache`] caches its physical plan
+/// under the id it assigns the build.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecorrelatedSubquery {
     /// Operator shape and (for group joins) the aggregate recipe.
@@ -451,6 +450,9 @@ pub fn decorrelate(
     };
 
     let build = Box::new(SelectStatement {
+        // A stand-in: the plan cache that stores the rewrite gives the
+        // build its own id (see [`crate::plan::PlanCache::rewrite_for`]).
+        id: query.id,
         distinct: false,
         projections,
         from: query.from.clone(),

@@ -39,8 +39,6 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use std::sync::Arc;
-
 use crate::ast::*;
 use crate::decorrelate::{
     synthetic_agg_name, DecorrelatedKind, DecorrelatedSubquery, SubqueryPosition,
@@ -76,34 +74,30 @@ pub fn execute_with_stats_mode(
             Ok((crate::explain::explain_statement(db, &ex, mode)?, ExecStats::default()))
         }
         Statement::Select(stmt) => {
-            let (rs, stats, _) =
-                execute_select_with_plan_cache(db, &stmt, mode, PlanCache::default())?;
-            Ok((rs, stats))
+            execute_select_with_plan_cache(db, &stmt, mode, &PlanCache::new(stmt.query_count()))
         }
         other => Err(SqlError::Parse(format!("expected SELECT, parsed {other:?}"))),
     }
 }
 
-/// Executes an already-parsed SELECT with an externally provided plan cache,
-/// handing the cache back (extended with whatever this execution planned)
-/// alongside the result.
+/// Executes an already-parsed SELECT through a plan cache built for it
+/// ([`PlanCache::new`] with the statement's [`SelectStatement::query_count`]),
+/// filling whatever slots this execution plans.
 ///
-/// This is the building block for *sharing* plans across executions: a
-/// caller that keeps the returned cache and threads it into the next
-/// execution of the same statement skips planning entirely. The cache keys
-/// plans by statement address, so the caller must keep the statement (and
-/// everything reachable from it) alive and unmoved for as long as the cache
-/// is reused — [`crate::prepared::SharedPlanCache`] packages that invariant
-/// safely and is what `seed-serve` and the eval runners use.
+/// This is the building block for *sharing* plans across executions: every
+/// later execution of the same statement (or a clone of it) through the
+/// same cache skips planning entirely, on any thread.
+/// [`crate::prepared::SharedPlanCache`] pairs each statement with its cache
+/// and is what `seed-serve` and the eval runners use.
 pub fn execute_select_with_plan_cache(
     db: &Database,
     stmt: &SelectStatement,
     mode: PlanMode,
-    plans: PlanCache,
-) -> SqlResult<(ResultSet, ExecStats, PlanCache)> {
+    plans: &PlanCache,
+) -> SqlResult<(ResultSet, ExecStats)> {
     let mut exec = Executor::new(db, mode, plans);
     let rs = exec.run_select(stmt, None)?;
-    Ok((rs, exec.stats, exec.plans))
+    Ok((rs, exec.stats))
 }
 
 /// Like [`execute_select_with_plan_cache`], but additionally records a
@@ -118,13 +112,13 @@ pub fn execute_select_profiled(
     db: &Database,
     stmt: &SelectStatement,
     mode: PlanMode,
-    plans: PlanCache,
-) -> SqlResult<(ResultSet, ExecStats, PlanCache, QueryProfile)> {
+    plans: &PlanCache,
+) -> SqlResult<(ResultSet, ExecStats, QueryProfile)> {
     let mut exec = Executor::new(db, mode, plans);
     exec.profiler = Some(Profiler::new());
     let rs = exec.run_select(stmt, None);
     let profile = exec.profiler.take().map(Profiler::finish).unwrap_or_default();
-    Ok((rs?, exec.stats, exec.plans, profile))
+    Ok((rs?, exec.stats, profile))
 }
 
 /// Executes any supported statement, applying DDL/DML to the database.
@@ -137,7 +131,8 @@ pub fn execute_statement(db: &mut Database, sql: &str) -> SqlResult<ResultSet> {
     let stmt = crate::parser::parse_statement(sql)?;
     match stmt {
         Statement::Select(s) => {
-            Ok(execute_select_with_plan_cache(db, &s, PlanMode::default(), PlanCache::default())?.0)
+            let plans = PlanCache::new(s.query_count());
+            Ok(execute_select_with_plan_cache(db, &s, PlanMode::default(), &plans)?.0)
         }
         Statement::Explain(ex) => crate::explain::explain_statement(db, &ex, PlanMode::default()),
         Statement::CreateTable(_)
@@ -199,13 +194,13 @@ impl<'a> Group<'a> {
 /// candidate — the index implements `sql_cmp` equality exactly (NULL and
 /// NaN included), so the probe reproduces the correlation predicate's
 /// semantics bit for bit.
-struct DecorrBuild {
-    rw: Arc<DecorrelatedSubquery>,
+struct DecorrBuild<'a> {
+    rw: &'a DecorrelatedSubquery,
     rows: Vec<Vec<Value>>,
     index: EqKeyMap,
 }
 
-impl DecorrBuild {
+impl DecorrBuild<'_> {
     /// Verifies the correlation keys beyond the indexed first one: true when
     /// build row `ri` is `sql_cmp`-equal to the probe keys on every
     /// remaining key column. The single place multi-key probe semantics
@@ -230,25 +225,26 @@ pub(crate) struct Executor<'a> {
     pub(crate) db: &'a Database,
     pub(crate) stats: ExecStats,
     pub(crate) mode: PlanMode,
-    /// Per-statement plan cache: subqueries re-executed per outer row are
-    /// planned once and replayed from here afterwards. May arrive pre-seeded
-    /// from a [`crate::prepared::SharedPlanCache`]. Also memoizes the
-    /// decorrelation analysis (see [`PlanCache::rewrite_for`]).
-    pub(crate) plans: PlanCache,
+    /// The statement's plan cache: subqueries re-executed per outer row are
+    /// planned once and replayed from here afterwards, and a
+    /// [`crate::prepared::PreparedStatement`]'s executions all share one.
+    /// Also memoizes the decorrelation analysis (see
+    /// [`PlanCache::rewrite_for`]).
+    pub(crate) plans: &'a PlanCache,
     /// Results of *uncorrelated* expression-position subqueries (scalar,
-    /// `IN`, `EXISTS`), keyed by statement address like the plan cache: an
+    /// `IN`, `EXISTS`), keyed by query id like the plan cache: an
     /// uncorrelated subquery returns the same rows for every outer row, so
     /// it executes once per statement instead of once per row.
-    subquery_results: HashMap<usize, Rc<ResultSet>>,
-    /// Memoized [`is_uncorrelated`] verdict per subquery address, so the
-    /// schema analysis also runs once per statement, not once per row.
-    uncorrelated: HashMap<usize, bool>,
-    /// Materialized decorrelated build sides per subquery address. `None`
-    /// records "not rewritable", so refused shapes skip straight to the
+    subquery_results: HashMap<QueryId, Rc<ResultSet>>,
+    /// Memoized [`is_uncorrelated`] verdict per subquery, so the schema
+    /// analysis also runs once per statement, not once per row.
+    uncorrelated: HashMap<QueryId, bool>,
+    /// Materialized decorrelated build sides per subquery. `None` records
+    /// "not rewritable", so refused shapes skip straight to the
     /// per-outer-row path on every later row.
-    decorr_builds: HashMap<usize, Option<Rc<DecorrBuild>>>,
-    /// Group-join scalar memos per subquery address.
-    decorr_memos: HashMap<usize, ScalarMemo>,
+    decorr_builds: HashMap<QueryId, Option<Rc<DecorrBuild<'a>>>>,
+    /// Group-join scalar memos per subquery.
+    decorr_memos: HashMap<QueryId, ScalarMemo>,
     /// Pre-computed aggregate results, keyed by `Expr::Aggregate` node
     /// address, installed by the columnar grouped pipeline's *row bridge*
     /// for the duration of one group's evaluation when a HAVING, projection,
@@ -268,7 +264,7 @@ pub(crate) struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    pub(crate) fn new(db: &'a Database, mode: PlanMode, plans: PlanCache) -> Self {
+    pub(crate) fn new(db: &'a Database, mode: PlanMode, plans: &'a PlanCache) -> Self {
         Executor {
             db,
             stats: ExecStats::default(),
@@ -301,7 +297,7 @@ impl<'a> Executor<'a> {
         if self.mode == PlanMode::NestedLoop {
             return Ok(Rc::new(self.run_select(query, Some(scope))?));
         }
-        let key = query as *const SelectStatement as usize;
+        let key = query.id;
         if let Some(rs) = self.subquery_results.get(&key) {
             self.stats.subquery_result_hits += 1;
             return Ok(Rc::clone(rs));
@@ -332,22 +328,21 @@ impl<'a> Executor<'a> {
     /// oracle) and the caller keeps the per-outer-row path.
     ///
     /// The build executes with no outer scope — the rewrite guarantees it is
-    /// self-contained — and its plan lands in the ordinary [`PlanCache`]
-    /// keyed by the build statement's address, which the `Arc`-pinned
-    /// rewrite keeps stable (see [`PlanCache::rewrite_for`]).
+    /// self-contained — and its plan lands in the build's own slot of the
+    /// [`PlanCache`] (see [`PlanCache::rewrite_for`]).
     fn decorr_build(
         &mut self,
         query: &SelectStatement,
         pos: SubqueryPosition,
-    ) -> SqlResult<Option<Rc<DecorrBuild>>> {
+    ) -> SqlResult<Option<Rc<DecorrBuild<'a>>>> {
         if self.mode == PlanMode::NestedLoop {
             return Ok(None);
         }
-        let key = query as *const SelectStatement as usize;
-        if let Some(cached) = self.decorr_builds.get(&key) {
+        if let Some(cached) = self.decorr_builds.get(&query.id) {
             return Ok(cached.clone());
         }
-        let built = match self.plans.rewrite_for(self.db, query, pos) {
+        let plans = self.plans;
+        let built = match plans.rewrite_for(self.db, query, pos) {
             None => None,
             Some(rw) => {
                 let rs = self.run_select(&rw.build, None)?;
@@ -360,7 +355,7 @@ impl<'a> Executor<'a> {
                 Some(Rc::new(DecorrBuild { rw, rows: rs.rows, index }))
             }
         };
-        self.decorr_builds.insert(key, built.clone());
+        self.decorr_builds.insert(query.id, built.clone());
         Ok(built)
     }
 
@@ -423,7 +418,7 @@ impl<'a> Executor<'a> {
     /// so its match set is not shared with any grouping-equal key class.
     fn decorr_scalar(
         &mut self,
-        build: &Rc<DecorrBuild>,
+        build: &Rc<DecorrBuild<'a>>,
         query: &SelectStatement,
         scope: &Scope<'_>,
     ) -> SqlResult<Value> {
@@ -432,11 +427,10 @@ impl<'a> Executor<'a> {
                 "scalar decorrelation without a group-join rewrite".into(),
             ));
         };
-        let keys = self.decorr_outer_keys(&build.rw, scope)?;
+        let keys = self.decorr_outer_keys(build.rw, scope)?;
         let memoizable = !keys.iter().any(|k| matches!(k, Value::Real(r) if r.is_nan()));
-        let qkey = query as *const SelectStatement as usize;
         if memoizable {
-            if let Some(memo) = self.decorr_memos.get(&qkey) {
+            if let Some(memo) = self.decorr_memos.get(&query.id) {
                 if let Some(gid) = memo.keys.lookup(&keys) {
                     self.stats.decorrelated_memo_hits += 1;
                     return Ok(memo.results[gid].clone());
@@ -465,7 +459,7 @@ impl<'a> Executor<'a> {
         let pscope = Scope { cols: &cols, row: &agg_vals, parent: None };
         let result = self.eval(projection, &pscope, None)?;
         if memoizable {
-            let memo = self.decorr_memos.entry(qkey).or_default();
+            let memo = self.decorr_memos.entry(query.id).or_default();
             let (gid, new) = memo.keys.get_or_insert(&keys);
             if new {
                 memo.results.push(result.clone());
@@ -993,7 +987,7 @@ impl<'a> Executor<'a> {
                 // outer row, so NULL and type-coercion semantics are the
                 // eval site's own, unchanged.
                 if let Some(build) = self.decorr_build(query, SubqueryPosition::In)? {
-                    let keys = self.decorr_outer_keys(&build.rw, scope)?;
+                    let keys = self.decorr_outer_keys(build.rw, scope)?;
                     let found = self.decorr_in_match(&build, &keys, &v);
                     return Ok(Value::from_bool(found != *negated));
                 }
@@ -1025,7 +1019,7 @@ impl<'a> Executor<'a> {
                 // Correlated [NOT] EXISTS: hash semi/anti-join probe — the
                 // NOT stays here as the negation of the probe's verdict.
                 if let Some(build) = self.decorr_build(query, SubqueryPosition::Exists)? {
-                    let keys = self.decorr_outer_keys(&build.rw, scope)?;
+                    let keys = self.decorr_outer_keys(build.rw, scope)?;
                     let found = self.decorr_has_match(&build, &keys);
                     return Ok(Value::from_bool(found != *negated));
                 }
@@ -1773,13 +1767,9 @@ mod tests {
         // The per-outer-row cached-plan path is still there behind
         // `without_decorrelation`, producing identical rows the old way.
         let stmt = crate::parser::parse_select(sql).unwrap();
-        let (legacy_rs, legacy_stats, _) = execute_select_with_plan_cache(
-            &d,
-            &stmt,
-            PlanMode::Columnar,
-            PlanCache::without_decorrelation(),
-        )
-        .unwrap();
+        let plans = PlanCache::without_decorrelation(stmt.query_count());
+        let (legacy_rs, legacy_stats) =
+            execute_select_with_plan_cache(&d, &stmt, PlanMode::Columnar, &plans).unwrap();
         assert_eq!(legacy_rs.rows, rs.rows);
         assert_eq!(legacy_stats.decorrelated_subqueries, 0);
         assert!(legacy_stats.plan_cache_hits >= 3, "per-row path replays the cached plan");

@@ -101,8 +101,8 @@ pub fn explain_analyze_text(
     stmt: &SelectStatement,
     mode: PlanMode,
 ) -> SqlResult<String> {
-    let (rs, stats, plans, profile) =
-        execute_select_profiled(db, stmt, mode, PlanCache::default())?;
+    let plans = PlanCache::new(stmt.query_count());
+    let (rs, stats, profile) = execute_select_profiled(db, stmt, mode, &plans)?;
     let mut out = format!("Plan mode: {mode:?}\n");
     let mut covered: HashSet<usize> = HashSet::new();
     match mode {
@@ -132,7 +132,7 @@ pub fn explain_analyze_text(
             out.push_str(&plan.explain_annotated(&|node| {
                 annotate_key(&profile, node as *const PlanNode as usize)
             }));
-            out.push_str(&columnar_bridges_section(db, stmt, &plan)?);
+            out.push_str(&columnar_bridges_section(db, stmt, plan)?);
         }
     }
     out.push_str(&subqueries_section(db, stmt, mode));

@@ -42,9 +42,12 @@
 //!    a linear side path) — so grouping is O(rows) instead of
 //!    O(rows × groups).
 //!
-//! Each top-level statement executes with a [`plan::PlanCache`]: subqueries
-//! (scalar, `IN`, `EXISTS`, derived tables) are planned once, with hit/miss
-//! counts reported in [`ExecStats`]. Uncorrelated expression-position
+//! Each top-level statement executes with a [`plan::PlanCache`] keyed by the
+//! [`QueryId`]s the parser gives its `SELECT`s: subqueries (scalar, `IN`,
+//! `EXISTS`, derived tables) are planned once, with hit/miss counts
+//! reported in [`ExecStats`]. The parser also rejects statements nested
+//! deeper than [`MAX_NESTING`] levels, so no input can overflow the stack.
+//! Uncorrelated expression-position
 //! subqueries execute once per statement and replay from a result cache;
 //! correlated ones are *decorrelated* where provably sound
 //! ([`mod@decorrelate`]) — rewritten into hash semi/anti/group joins whose
@@ -120,6 +123,7 @@ pub mod storage;
 pub mod token;
 pub mod value;
 
+pub use ast::QueryId;
 pub use chunk::{ArrayBuilder, ColumnArray, DataChunk, NullBitmap, BATCH_SIZE};
 pub use decorrelate::{decorrelate, DecorrelatedKind, DecorrelatedSubquery, SubqueryPosition};
 pub use error::{SqlError, SqlResult};
@@ -132,11 +136,11 @@ pub use mutate::{
     commit_statement, commit_statement_rebuild, is_write_statement, statement_dependencies,
     CommitOutcome, MutationKind, PlannedMutation,
 };
-pub use parser::{parse_select, parse_statement};
+pub use parser::{parse_select, parse_statement, MAX_NESTING};
 pub use plan::{
     is_uncorrelated, node_label, plan_select, PhysicalPlan, PlanCache, PlanMode, PlanNode,
 };
-pub use prepared::{PreparedStatement, SharedPlanCache};
+pub use prepared::{PreparedStatement, SharedPlanCache, MAX_PREPARED_STATEMENTS};
 pub use profile::{format_nanos, OpProfile, QueryProfile};
 pub use result::{ExecStats, ResultSet};
 pub use schema::{ColumnDef, DataType, DatabaseSchema, ForeignKey, TableSchema};

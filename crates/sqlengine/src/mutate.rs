@@ -116,6 +116,7 @@ pub fn statement_dependencies(stmt: &Statement) -> Vec<String> {
 /// positions and rows. Read-only: evaluation runs against `db`, nothing is
 /// mutated. `SELECT`/`EXPLAIN` are rejected.
 pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutation> {
+    let plans = PlanCache::new(stmt.query_count());
     match stmt {
         Statement::Insert(ins) => {
             let schema = db.table(&ins.table)?.schema.clone();
@@ -137,7 +138,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
                     return Err(SqlError::Schema("INSERT arity mismatch".into()));
                 }
                 let mut row = vec![Value::Null; schema.columns.len()];
-                let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+                let mut exec = Executor::new(db, PlanMode::default(), &plans);
                 let scope = Scope { cols: &[], row: &[], parent: None };
                 for (expr, &pos) in row_exprs.iter().zip(&positions) {
                     row[pos] = exec.eval(expr, &scope, None)?;
@@ -159,7 +160,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
                         .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", upd.table, c)))
                 })
                 .collect::<SqlResult<Vec<_>>>()?;
-            let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+            let mut exec = Executor::new(db, PlanMode::default(), &plans);
             let mut changes = Vec::new();
             for (pos, row) in table.rows().iter().enumerate() {
                 let scope = Scope { cols: &cols, row, parent: None };
@@ -181,7 +182,7 @@ pub fn plan_mutation(db: &Database, stmt: &Statement) -> SqlResult<PlannedMutati
         Statement::Delete(del) => {
             let table = db.table(&del.table)?;
             let cols = table_scope_cols(&del.table, &table.schema);
-            let mut exec = Executor::new(db, PlanMode::default(), PlanCache::default());
+            let mut exec = Executor::new(db, PlanMode::default(), &plans);
             let mut positions = Vec::new();
             for (pos, row) in table.rows().iter().enumerate() {
                 let keep = match &del.where_clause {

@@ -6,10 +6,19 @@ use crate::schema::DataType;
 use crate::token::{tokenize, Symbol, Token};
 use crate::value::{ArithOp, Value};
 
+/// How deeply a statement may nest. Every parenthesis (grouping,
+/// subquery, function or `CAST` arguments, `IN` list), `CASE`, `NOT` and
+/// unary sign opens one level, and every link of a left-deep operator chain
+/// (`1 + 1 + …`, `… OR … OR …`) sinks the operands before it one level
+/// deeper. A statement past the limit is a parse error, so planning,
+/// evaluation and `Drop`, which recurse along the tree, stay within a
+/// 2 MiB worker stack on any input.
+pub const MAX_NESTING: usize = 64;
+
 /// Parses a single SQL statement.
 pub fn parse_statement(sql: &str) -> SqlResult<Statement> {
     let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0, peak: 0, next_query: 0 };
     let stmt = p.parse_statement()?;
     p.skip_symbol(Symbol::Semicolon);
     if !p.at_end() {
@@ -29,9 +38,19 @@ pub fn parse_select(sql: &str) -> SqlResult<SelectStatement> {
     }
 }
 
+/// Builds the node for one link of an operator chain from its operands.
+type Link = fn(Box<Expr>, Box<Expr>) -> Expr;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting level of the construct being parsed (see [`MAX_NESTING`]).
+    depth: usize,
+    /// Deepest level reached since the innermost [`Parser::measured`]
+    /// operand began.
+    peak: usize,
+    /// The [`QueryId`] the next `SELECT` gets.
+    next_query: usize,
 }
 
 impl Parser {
@@ -95,6 +114,55 @@ impl Parser {
         } else {
             Err(SqlError::Parse(format!("expected {s:?}, found {:?}", self.peek())))
         }
+    }
+
+    /// Records that parsing reached nesting `level`, failing past
+    /// [`MAX_NESTING`].
+    fn reach(&mut self, level: usize) -> SqlResult<()> {
+        self.peak = self.peak.max(level);
+        if level > MAX_NESTING {
+            return Err(SqlError::Parse(format!(
+                "statement nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parses `f` one nesting level deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> SqlResult<T>) -> SqlResult<T> {
+        self.depth += 1;
+        let result = self.reach(self.depth).and_then(|()| f(self));
+        self.depth -= 1;
+        result
+    }
+
+    /// Parses one chain operand, returning it with the number of levels it
+    /// reaches below the current one.
+    fn measured(&mut self, operand: fn(&mut Self) -> SqlResult<Expr>) -> SqlResult<(Expr, usize)> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
+        let result = operand(self);
+        let height = self.peak - self.depth;
+        self.peak = self.peak.max(outer);
+        Ok((result?, height))
+    }
+
+    /// Parses `operand (op operand)*` into a left-deep tree; `link` consumes
+    /// an operator and returns its node constructor. Each link puts every
+    /// operand before it one level deeper, so the chain's height is
+    /// tracked exactly and checked against [`MAX_NESTING`] link by link.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> SqlResult<Expr>,
+        link: fn(&mut Self) -> Option<Link>,
+    ) -> SqlResult<Expr> {
+        let (mut left, mut height) = self.measured(operand)?;
+        while let Some(combine) = link(self) {
+            let (right, right_height) = self.measured(operand)?;
+            height = height.max(right_height) + 1;
+            self.reach(self.depth + height)?;
+            left = combine(Box::new(left), Box::new(right));
+        }
+        Ok(left)
     }
 
     fn expect_identifier(&mut self) -> SqlResult<String> {
@@ -223,15 +291,8 @@ impl Parser {
         let mut rows = Vec::new();
         loop {
             self.expect_symbol(Symbol::LParen)?;
-            let mut row = Vec::new();
-            loop {
-                row.push(self.parse_expr()?);
-                if !self.skip_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
+            rows.push(self.parse_expr_list()?);
             self.expect_symbol(Symbol::RParen)?;
-            rows.push(row);
             if !self.skip_symbol(Symbol::Comma) {
                 break;
             }
@@ -275,6 +336,8 @@ impl Parser {
     fn parse_select(&mut self) -> SqlResult<SelectStatement> {
         self.expect_keyword("SELECT")?;
         let mut stmt = SelectStatement::empty();
+        stmt.id = QueryId(self.next_query);
+        self.next_query += 1;
         stmt.distinct = self.eat_keyword("DISTINCT");
         if self.eat_keyword("ALL") {
             stmt.distinct = false;
@@ -417,7 +480,7 @@ impl Parser {
 
     fn parse_table_ref(&mut self) -> SqlResult<TableRef> {
         if self.skip_symbol(Symbol::LParen) {
-            let query = self.parse_select()?;
+            let query = self.nested(Self::parse_select)?;
             self.expect_symbol(Symbol::RParen)?;
             self.eat_keyword("AS");
             let alias = self.expect_identifier()?;
@@ -446,26 +509,16 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> SqlResult<Expr> {
-        let mut left = self.parse_and()?;
-        while self.eat_keyword("OR") {
-            let right = self.parse_and()?;
-            left = Expr::Or(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::parse_and, |p| p.eat_keyword("OR").then_some(Expr::Or))
     }
 
     fn parse_and(&mut self) -> SqlResult<Expr> {
-        let mut left = self.parse_not()?;
-        while self.eat_keyword("AND") {
-            let right = self.parse_not()?;
-            left = Expr::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
+        self.chain(Self::parse_not, |p| p.eat_keyword("AND").then_some(Expr::And))
     }
 
     fn parse_not(&mut self) -> SqlResult<Expr> {
         if self.eat_keyword("NOT") {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.parse_comparison()
@@ -498,7 +551,7 @@ impl Parser {
         if self.eat_keyword("IN") {
             self.expect_symbol(Symbol::LParen)?;
             if self.check_keyword("SELECT") {
-                let query = self.parse_select()?;
+                let query = self.nested(Self::parse_select)?;
                 self.expect_symbol(Symbol::RParen)?;
                 return Ok(Expr::InSubquery {
                     negated,
@@ -506,13 +559,7 @@ impl Parser {
                     query: Box::new(query),
                 });
             }
-            let mut list = Vec::new();
-            loop {
-                list.push(self.parse_expr()?);
-                if !self.skip_symbol(Symbol::Comma) {
-                    break;
-                }
-            }
+            let list = self.nested(Self::parse_expr_list)?;
             self.expect_symbol(Symbol::RParen)?;
             return Ok(Expr::InList { negated, expr: Box::new(left), list });
         }
@@ -549,63 +596,40 @@ impl Parser {
     }
 
     fn parse_additive(&mut self) -> SqlResult<Expr> {
-        let mut left = self.parse_multiplicative()?;
-        loop {
-            if self.check_symbol(Symbol::Plus) {
-                self.advance();
-                let right = self.parse_multiplicative()?;
-                left =
-                    Expr::Arith { op: ArithOp::Add, left: Box::new(left), right: Box::new(right) };
-            } else if self.check_symbol(Symbol::Minus) {
-                self.advance();
-                let right = self.parse_multiplicative()?;
-                left =
-                    Expr::Arith { op: ArithOp::Sub, left: Box::new(left), right: Box::new(right) };
-            } else if self.check_symbol(Symbol::Concat) {
-                self.advance();
-                let right = self.parse_multiplicative()?;
-                left = Expr::Concat { left: Box::new(left), right: Box::new(right) };
+        self.chain(Self::parse_multiplicative, |p| {
+            if p.skip_symbol(Symbol::Plus) {
+                Some(|left, right| Expr::Arith { op: ArithOp::Add, left, right })
+            } else if p.skip_symbol(Symbol::Minus) {
+                Some(|left, right| Expr::Arith { op: ArithOp::Sub, left, right })
+            } else if p.skip_symbol(Symbol::Concat) {
+                Some(|left, right| Expr::Concat { left, right })
             } else {
-                break;
+                None
             }
-        }
-        Ok(left)
+        })
     }
 
     fn parse_multiplicative(&mut self) -> SqlResult<Expr> {
-        let mut left = self.parse_unary()?;
-        loop {
-            if self.check_symbol(Symbol::Star) {
-                self.advance();
-                let right = self.parse_unary()?;
-                left =
-                    Expr::Arith { op: ArithOp::Mul, left: Box::new(left), right: Box::new(right) };
-            } else if self.check_symbol(Symbol::Slash) {
-                self.advance();
-                let right = self.parse_unary()?;
-                left =
-                    Expr::Arith { op: ArithOp::Div, left: Box::new(left), right: Box::new(right) };
-            } else if self.check_symbol(Symbol::Percent) {
-                self.advance();
-                let right = self.parse_unary()?;
-                left =
-                    Expr::Arith { op: ArithOp::Mod, left: Box::new(left), right: Box::new(right) };
+        self.chain(Self::parse_unary, |p| {
+            if p.skip_symbol(Symbol::Star) {
+                Some(|left, right| Expr::Arith { op: ArithOp::Mul, left, right })
+            } else if p.skip_symbol(Symbol::Slash) {
+                Some(|left, right| Expr::Arith { op: ArithOp::Div, left, right })
+            } else if p.skip_symbol(Symbol::Percent) {
+                Some(|left, right| Expr::Arith { op: ArithOp::Mod, left, right })
             } else {
-                break;
+                None
             }
-        }
-        Ok(left)
+        })
     }
 
     fn parse_unary(&mut self) -> SqlResult<Expr> {
-        if self.check_symbol(Symbol::Minus) {
-            self.advance();
-            let inner = self.parse_unary()?;
+        if self.skip_symbol(Symbol::Minus) {
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Neg(Box::new(inner)));
         }
-        if self.check_symbol(Symbol::Plus) {
-            self.advance();
-            return self.parse_unary();
+        if self.skip_symbol(Symbol::Plus) {
+            return self.nested(Self::parse_unary);
         }
         self.parse_primary()
     }
@@ -632,12 +656,13 @@ impl Parser {
             }
             Some(Token::Symbol(Symbol::LParen)) => {
                 self.advance();
-                if self.check_keyword("SELECT") {
-                    let q = self.parse_select()?;
-                    self.expect_symbol(Symbol::RParen)?;
-                    return Ok(Expr::ScalarSubquery(Box::new(q)));
-                }
-                let e = self.parse_expr()?;
+                let e = self.nested(|p| {
+                    if p.check_keyword("SELECT") {
+                        Ok(Expr::ScalarSubquery(Box::new(p.parse_select()?)))
+                    } else {
+                        p.parse_expr()
+                    }
+                })?;
                 self.expect_symbol(Symbol::RParen)?;
                 Ok(e)
             }
@@ -677,7 +702,7 @@ impl Parser {
         if upper == "EXISTS" {
             self.advance();
             self.expect_symbol(Symbol::LParen)?;
-            let q = self.parse_select()?;
+            let q = self.nested(Self::parse_select)?;
             self.expect_symbol(Symbol::RParen)?;
             return Ok(Expr::Exists { negated: false, query: Box::new(q) });
         }
@@ -685,14 +710,14 @@ impl Parser {
         // CASE expression
         if upper == "CASE" {
             self.advance();
-            return self.parse_case();
+            return self.nested(Self::parse_case);
         }
 
         // CAST(expr AS type)
         if upper == "CAST" && matches!(self.peek_at(1), Some(Token::Symbol(Symbol::LParen))) {
             self.advance();
             self.advance();
-            let inner = self.parse_expr()?;
+            let inner = self.nested(Self::parse_expr)?;
             self.expect_keyword("AS")?;
             let ty = self.expect_identifier()?;
             self.expect_symbol(Symbol::RParen)?;
@@ -715,19 +740,15 @@ impl Parser {
                     self.advance();
                     return Ok(Expr::Aggregate { kind, distinct, arg: None });
                 }
-                let arg = self.parse_expr()?;
+                let arg = self.nested(Self::parse_expr)?;
                 self.expect_symbol(Symbol::RParen)?;
                 return Ok(Expr::Aggregate { kind, distinct, arg: Some(Box::new(arg)) });
             }
-            let mut args = Vec::new();
-            if !self.check_symbol(Symbol::RParen) {
-                loop {
-                    args.push(self.parse_expr()?);
-                    if !self.skip_symbol(Symbol::Comma) {
-                        break;
-                    }
-                }
-            }
+            let args = if self.check_symbol(Symbol::RParen) {
+                Vec::new()
+            } else {
+                self.nested(Self::parse_expr_list)?
+            };
             self.expect_symbol(Symbol::RParen)?;
             return Ok(Expr::Function { name: name.to_ascii_uppercase(), args });
         }
@@ -746,6 +767,15 @@ impl Parser {
             return Ok(Expr::Column { table: Some(name), column: col });
         }
         Ok(Expr::Column { table: None, column: name })
+    }
+
+    /// Parses `expr (, expr)*`.
+    fn parse_expr_list(&mut self) -> SqlResult<Vec<Expr>> {
+        let mut list = vec![self.parse_expr()?];
+        while self.skip_symbol(Symbol::Comma) {
+            list.push(self.parse_expr()?);
+        }
+        Ok(list)
     }
 
     fn parse_case(&mut self) -> SqlResult<Expr> {

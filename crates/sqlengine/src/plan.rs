@@ -46,10 +46,9 @@
 //! and the eval layer always runs gold and predicted SQL under the same
 //! mode, so EX/VES comparisons are unaffected.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::OnceLock;
 
-use crate::ast::{Expr, JoinKind, Projection, SelectStatement, TableRef};
+use crate::ast::{Expr, JoinKind, Projection, QueryId, SelectStatement, TableRef};
 use crate::decorrelate::{decorrelate, DecorrelatedSubquery, SubqueryPosition};
 use crate::error::{SqlError, SqlResult};
 use crate::result::ExecStats;
@@ -457,131 +456,83 @@ pub(crate) fn describe_expr(expr: &Expr) -> String {
     }
 }
 
-/// A per-execution cache of physical plans, keyed by statement identity.
+/// The plans and decorrelation rewrites of one parsed statement, keyed by
+/// [`QueryId`].
 ///
-/// Planning is pure in the database and the statement, both of which are
-/// immutable for the duration of one `execute*` call — so a statement that
-/// executes many times (a correlated scalar/`IN`/`EXISTS` subquery runs once
-/// per outer row, a derived table once per enclosing execution) needs
-/// planning exactly once. The executor owns one cache per top-level
-/// statement and threads every `plan_select` call through it; hits and
-/// misses are reported in [`ExecStats`].
+/// Planning is pure in the database schema and the statement, so a
+/// statement that executes many times (a correlated scalar/`IN`/`EXISTS`
+/// subquery runs once per outer row, a derived table once per enclosing
+/// execution, a prepared statement once per request) needs planning exactly
+/// once. The executor threads every `plan_select` call through the cache;
+/// hits and misses are reported in [`ExecStats`].
 ///
 /// Besides physical plans, the cache memoizes the [`mod@crate::decorrelate`]
-/// analysis per subquery: a correlated subquery is analyzed once, and a
-/// successful rewrite's build statement is `Arc`-pinned here so *its* plan
-/// can be address-keyed and shared like any other — repeated executions of a
-/// decorrelated statement neither re-analyze nor re-plan.
+/// analysis per subquery, and gives each successful rewrite's build
+/// statement a plan slot of its own: repeated executions of a decorrelated
+/// statement neither re-analyze nor re-plan.
 ///
-/// Keys are the statement's address. That is sound here because every
-/// statement planned during an execution is either reachable from the
-/// borrowed top-level AST (alive for the whole execution) or owned by
-/// something this cache keeps alive for its own lifetime: a plan already in
-/// the cache (subqueries inside `SubqueryScan` nodes) or a decorrelation
-/// rewrite (the `Arc`-pinned build statement) — the cache never evicts, and
-/// [`PlanCache::merge`] pins superseded entries rather than dropping them,
-/// so no address can be freed and reused while the cache lives.
-/// [`crate::prepared::SharedPlanCache`] extends the same invariant across
-/// statements and threads by pinning each prepared AST for the life of the
-/// shared cache; plans are `Arc`-shared so a clone of this cache is a
-/// handful of refcount bumps, not a re-plan.
-#[derive(Debug, Clone)]
+/// The cache is a fixed array of write-once slots sized from the parse
+/// ([`SelectStatement::query_count`]): ids `0..n` are the statement's own
+/// `SELECT`s, and id `n + k` is the build statement of query `k`'s rewrite.
+/// Ids are dense and clones keep them, so the plan of a derived table or
+/// subquery copied into an enclosing plan is the same slot as the
+/// original's. Slots are filled through `&self`, so one cache is shared by
+/// every execution of its statement, on any thread: executions racing on an
+/// empty slot may both plan, and the first plan stored wins. A cache only
+/// answers for the statement it was sized from (or a clone of it).
+#[derive(Debug)]
 pub struct PlanCache {
-    plans: HashMap<usize, CachedPlan>,
+    /// Plan slots: one per query id, then one per decorrelation build.
+    /// Boxed, so the slots most statements never fill stay two words wide.
+    plans: Box<[OnceLock<Box<PhysicalPlan>>]>,
+    /// Decorrelation verdict per query id; a `None` inside records
+    /// "analyzed, not rewritable" so refusals are not re-derived per row.
+    rewrites: Box<[OnceLock<Option<Box<DecorrelatedSubquery>>>]>,
     /// Whether correlated subqueries may be decorrelated into hash joins.
     /// On by default; [`PlanCache::without_decorrelation`] turns it off so
     /// benches (and suspicious users) can isolate the per-outer-row
     /// cached-plan path.
     decorrelate: bool,
-    /// Memoized decorrelation analysis per subquery address; a `None`
-    /// rewrite records "analyzed, not rewritable" so refusals are not
-    /// re-derived per row. Entries carry the same structural fingerprint as
-    /// [`CachedPlan`], so address reuse fails a debug assertion instead of
-    /// silently probing the wrong build side.
-    rewrites: HashMap<usize, CachedRewrite>,
-    /// Entries superseded during [`PlanCache::merge`]. Kept only to pin
-    /// their owned ASTs: a superseded plan or rewrite can own statements
-    /// whose addresses key *other* live entries, so dropping it could let
-    /// an address be reused while the cache still answers for it. Keyed by
-    /// `Arc` pointer identity so re-merging the same object (a snapshot
-    /// folding back into its origin, the common prepared-statement cycle)
-    /// is idempotent — the pin set only grows when a genuinely distinct
-    /// plan/rewrite for an already-known key appears (racing planners).
-    pinned_plans: HashMap<usize, Arc<PhysicalPlan>>,
-    pinned_rewrites: HashMap<usize, Arc<DecorrelatedSubquery>>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            plans: HashMap::new(),
-            decorrelate: true,
-            rewrites: HashMap::new(),
-            pinned_plans: HashMap::new(),
-            pinned_rewrites: HashMap::new(),
-        }
-    }
-}
-
-/// A cached plan plus a cheap structural fingerprint of the statement it was
-/// planned from, so an address accidentally reused by a *different*
-/// statement (should the lifetime invariant above ever be broken) fails a
-/// debug assertion instead of silently executing the wrong plan.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    plan: Arc<PhysicalPlan>,
-    shape: (usize, usize, usize, usize, bool),
-}
-
-/// A memoized decorrelation verdict plus the analyzed statement's
-/// fingerprint (same defensive role as [`CachedPlan::shape`]).
-#[derive(Debug, Clone)]
-struct CachedRewrite {
-    rewrite: Option<Arc<DecorrelatedSubquery>>,
-    shape: (usize, usize, usize, usize, bool),
-}
-
-fn stmt_shape(stmt: &SelectStatement) -> (usize, usize, usize, usize, bool) {
-    (
-        stmt.projections.len(),
-        stmt.joins.len(),
-        stmt.group_by.len(),
-        stmt.order_by.len(),
-        stmt.distinct,
-    )
 }
 
 impl PlanCache {
+    /// An empty cache for a statement spanning `queries` query ids
+    /// ([`SelectStatement::query_count`]).
+    pub fn new(queries: usize) -> Self {
+        PlanCache {
+            plans: (0..2 * queries).map(|_| OnceLock::new()).collect(),
+            rewrites: (0..queries).map(|_| OnceLock::new()).collect(),
+            decorrelate: true,
+        }
+    }
+
     /// Returns the cached plan for `stmt`, planning and caching on miss.
     pub fn get_or_plan(
-        &mut self,
+        &self,
         db: &Database,
         stmt: &SelectStatement,
         stats: &mut ExecStats,
-    ) -> SqlResult<Arc<PhysicalPlan>> {
-        let key = stmt as *const SelectStatement as usize;
-        if let Some(cached) = self.plans.get(&key) {
-            debug_assert_eq!(
-                cached.shape,
-                stmt_shape(stmt),
-                "PlanCache address reuse: a statement was dropped while its cache entry lived"
-            );
+    ) -> SqlResult<&PhysicalPlan> {
+        let slot = self.plans.get(stmt.id.0).ok_or_else(|| {
+            SqlError::Execution(format!("query #{} is not part of this plan cache", stmt.id.0))
+        })?;
+        if let Some(plan) = slot.get() {
             stats.plan_cache_hits += 1;
-            return Ok(Arc::clone(&cached.plan));
+            return Ok(plan);
         }
         stats.plan_cache_misses += 1;
-        let plan = Arc::new(plan_select(db, stmt)?);
-        self.plans.insert(key, CachedPlan { plan: Arc::clone(&plan), shape: stmt_shape(stmt) });
-        Ok(plan)
+        let plan = Box::new(plan_select(db, stmt)?);
+        // A racing execution may have filled the slot meanwhile: its plan
+        // stays, this one is dropped.
+        Ok(slot.get_or_init(|| plan))
     }
 
     /// Returns the already-cached plan for `stmt` without planning on miss.
     /// `EXPLAIN ANALYZE` uses this to render the exact plan object an
     /// execution just ran (operator profile entries are keyed by node
     /// address, so the rendering must walk the *same* allocation).
-    pub fn cached_plan(&self, stmt: &SelectStatement) -> Option<Arc<PhysicalPlan>> {
-        let key = stmt as *const SelectStatement as usize;
-        self.plans.get(&key).map(|c| Arc::clone(&c.plan))
+    pub fn cached_plan(&self, stmt: &SelectStatement) -> Option<&PhysicalPlan> {
+        self.plans.get(stmt.id.0)?.get().map(|plan| &**plan)
     }
 
     /// Returns the memoized decorrelation rewrite for the subquery `stmt`,
@@ -589,32 +540,29 @@ impl PlanCache {
     /// rewritable (or decorrelation is disabled) and the caller should use
     /// the per-outer-row path.
     pub fn rewrite_for(
-        &mut self,
+        &self,
         db: &Database,
         stmt: &SelectStatement,
         pos: SubqueryPosition,
-    ) -> Option<Arc<DecorrelatedSubquery>> {
+    ) -> Option<&DecorrelatedSubquery> {
         if !self.decorrelate {
             return None;
         }
-        let key = stmt as *const SelectStatement as usize;
-        let cached = self.rewrites.entry(key).or_insert_with(|| CachedRewrite {
-            rewrite: decorrelate(db, stmt, pos).map(Arc::new),
-            shape: stmt_shape(stmt),
-        });
-        debug_assert_eq!(
-            cached.shape,
-            stmt_shape(stmt),
-            "PlanCache address reuse: a statement was dropped while its rewrite entry lived"
-        );
-        cached.rewrite.clone()
+        let build_id = QueryId(self.rewrites.len() + stmt.id.0);
+        let slot = self.rewrites.get(stmt.id.0)?;
+        slot.get_or_init(|| {
+            let mut rewrite = decorrelate(db, stmt, pos)?;
+            rewrite.build.id = build_id;
+            Some(Box::new(rewrite))
+        })
+        .as_deref()
     }
 
     /// A cache that never decorrelates: correlated subqueries stay on the
     /// per-outer-row cached-plan path. Used by benches to measure the
     /// decorrelation speedup and by tests to triangulate semantics.
-    pub fn without_decorrelation() -> Self {
-        PlanCache { decorrelate: false, ..Default::default() }
+    pub fn without_decorrelation(queries: usize) -> Self {
+        PlanCache { decorrelate: false, ..PlanCache::new(queries) }
     }
 
     /// Whether this cache rewrites correlated subqueries into hash joins.
@@ -622,72 +570,14 @@ impl PlanCache {
         self.decorrelate
     }
 
-    /// Copies every entry of `newer` this cache does not already hold.
-    /// Entries are `Arc`-shared plans, so a merge never re-plans; it is how
-    /// a shared cache folds back the plans one execution discovered.
-    ///
-    /// Entries the target already holds are *pinned*, not dropped: a
-    /// superseded plan or decorrelation rewrite owns statement ASTs
-    /// (`SubqueryScan` queries, rewritten build statements) whose addresses
-    /// may key other entries being merged in, and the address-keying
-    /// soundness argument requires every such owner to outlive the cache.
-    pub fn merge(&mut self, newer: &PlanCache) {
-        for (key, cached) in &newer.plans {
-            match self.plans.entry(*key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(cached.clone());
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    // The same Arc folding back (a snapshot merging into its
-                    // origin) pins nothing; only a *different* plan for a
-                    // known key — racing planners — needs its ASTs kept.
-                    if !Arc::ptr_eq(&e.get().plan, &cached.plan) {
-                        self.pinned_plans
-                            .insert(Arc::as_ptr(&cached.plan) as usize, Arc::clone(&cached.plan));
-                    }
-                }
-            }
-        }
-        for (key, cached) in &newer.rewrites {
-            match self.rewrites.entry(*key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(cached.clone());
-                }
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    if let Some(arc) = &cached.rewrite {
-                        if !e.get().rewrite.as_ref().is_some_and(|mine| Arc::ptr_eq(mine, arc)) {
-                            self.pinned_rewrites.insert(Arc::as_ptr(arc) as usize, Arc::clone(arc));
-                        }
-                    }
-                }
-            }
-        }
-        // Pointer-keyed maps make re-absorbing a snapshot's pin set (which
-        // started as a clone of this cache's own) idempotent instead of
-        // doubling it on every merge.
-        for (k, v) in &newer.pinned_plans {
-            self.pinned_plans.entry(*k).or_insert_with(|| Arc::clone(v));
-        }
-        for (k, v) in &newer.pinned_rewrites {
-            self.pinned_rewrites.entry(*k).or_insert_with(|| Arc::clone(v));
-        }
-    }
-
-    /// Number of superseded entries pinned by [`PlanCache::merge`] — zero
-    /// for serial prepared-statement cycles, bounded by distinct racing
-    /// planning events otherwise. Exposed so tests can pin the bound.
-    pub fn pinned_len(&self) -> usize {
-        self.pinned_plans.len() + self.pinned_rewrites.len()
-    }
-
-    /// Number of distinct statements planned so far.
+    /// Number of statements planned so far (decorrelation builds included).
     pub fn len(&self) -> usize {
-        self.plans.len()
+        self.plans.iter().filter(|slot| slot.get().is_some()).count()
     }
 
     /// True when nothing has been planned yet.
     pub fn is_empty(&self) -> bool {
-        self.plans.is_empty()
+        self.len() == 0
     }
 }
 
@@ -1176,33 +1066,45 @@ mod tests {
     fn plan_cache_hits_on_repeated_statements() {
         let d = db();
         let stmt = parse_select("SELECT loan_id FROM loan WHERE amount > 10").unwrap();
-        let mut cache = PlanCache::default();
+        let cache = PlanCache::new(stmt.query_count());
         let mut stats = ExecStats::default();
         let p1 = cache.get_or_plan(&d, &stmt, &mut stats).unwrap();
         let p2 = cache.get_or_plan(&d, &stmt, &mut stats).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "repeated statements share one plan");
+        assert!(std::ptr::eq(p1, p2), "repeated statements share one plan");
         assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (1, 1));
-        let stmt2 = parse_select("SELECT loan_id FROM loan").unwrap();
-        cache.get_or_plan(&d, &stmt2, &mut stats).unwrap();
-        assert_eq!(cache.len(), 2, "distinct statements plan independently");
+        assert_eq!(cache.len(), 1);
+        // A clone is the same query: it replays the same slot.
+        let p3 = cache.get_or_plan(&d, &stmt.clone(), &mut stats).unwrap();
+        assert!(std::ptr::eq(p1, p3));
+        assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (1, 2));
     }
 
     #[test]
-    fn plan_cache_merge_shares_entries_without_replanning() {
-        let d = db();
-        let stmt = parse_select("SELECT loan_id FROM loan WHERE amount > 10").unwrap();
-        let mut a = PlanCache::default();
-        let mut stats = ExecStats::default();
-        let p1 = a.get_or_plan(&d, &stmt, &mut stats).unwrap();
-        let mut b = PlanCache::default();
-        b.merge(&a);
-        let p2 = b.get_or_plan(&d, &stmt, &mut stats).unwrap();
-        assert!(Arc::ptr_eq(&p1, &p2), "merged cache serves the same Arc'd plan");
-        assert_eq!(stats.plan_cache_misses, 1, "the merge target never re-plans");
-        assert_eq!(stats.plan_cache_hits, 1);
-        // Merging back is idempotent.
-        a.merge(&b);
-        assert_eq!(a.len(), 1);
+    fn plan_cache_shares_plans_across_executions() {
+        let mut d = db();
+        for i in 0..4i64 {
+            d.insert("account", vec![i.into(), (i % 2).into()]).unwrap();
+            d.insert("loan", vec![i.into(), i.into(), ((i * 100) as f64).into()]).unwrap();
+        }
+        let stmt = parse_select(
+            "SELECT loan_id FROM loan WHERE amount > (SELECT AVG(amount) FROM loan) \
+             AND account_id IN (SELECT account_id FROM account WHERE district_id = 1)",
+        )
+        .unwrap();
+        assert_eq!(stmt.query_count(), 3, "the statement and its two subqueries");
+        let cache = PlanCache::new(stmt.query_count());
+        let (first_rs, first) =
+            crate::exec::execute_select_with_plan_cache(&d, &stmt, PlanMode::Columnar, &cache)
+                .unwrap();
+        assert_eq!(first.plan_cache_misses, 3, "the first execution plans every query");
+        let plans = cache.len();
+        let (rs, second) =
+            crate::exec::execute_select_with_plan_cache(&d, &stmt, PlanMode::Columnar, &cache)
+                .unwrap();
+        assert_eq!(rs.rows, first_rs.rows);
+        assert_eq!(second.plan_cache_misses, 0, "the second execution never re-plans");
+        assert_eq!(second.plan_cache_hits, 3);
+        assert_eq!(cache.len(), plans, "sharing adds no entries");
     }
 
     #[test]

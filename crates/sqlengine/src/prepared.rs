@@ -1,17 +1,16 @@
 //! Prepared statements and the process-wide shared plan cache.
 //!
-//! [`crate::plan::PlanCache`] shares plans *within* one statement execution
-//! (a correlated subquery plans once, runs per outer row). This module
-//! extends the same idea *across* statements, sessions, and threads: a
-//! [`SharedPlanCache`] pins each SQL string's parsed AST for its own
-//! lifetime, so the per-execution plan cache — which keys plans by statement
-//! address — can be snapshotted out, used, and folded back safely. Repeated
-//! statements (gold queries re-executed for every system/setting of an eval
-//! run, hot queries in a serving batch) parse and plan exactly once per
-//! process instead of once per execution. Decorrelation rewrites ride along:
-//! the analysis result and the rewritten build statement's plan live in the
-//! same per-entry [`PlanCache`], so a decorrelated statement is rewritten
-//! and its build side planned once per process too.
+//! A [`crate::plan::PlanCache`] holds the plans of one parsed statement,
+//! keyed by the [`crate::ast::QueryId`]s the parser gave its `SELECT`s. A
+//! [`PreparedStatement`] pairs a parsed statement with that cache, so every
+//! execution of it — on any thread — replays the plans earlier executions
+//! stored; [`SharedPlanCache`] maps SQL text to prepared statements for a
+//! whole process. Repeated statements (gold queries re-executed for every
+//! system/setting of an eval run, hot queries in a serving batch) parse and
+//! plan exactly once per process instead of once per execution.
+//! Decorrelation rewrites ride along: the analysis result and the rewritten
+//! build statement's plan live in the same cache, so a decorrelated
+//! statement is rewritten and its build side planned once per process too.
 //!
 //! ## Concurrency model
 //!
@@ -23,26 +22,21 @@
 //!   looking up *different* statements never touch the same lock, and
 //!   lookups of already-prepared statements take a per-stripe read lock
 //!   only;
-//! * each entry's accumulated [`PlanCache`] sits behind its own
-//!   [`parking_lot::Mutex`] and is *cloned out* (a few `Arc` refcount bumps)
-//!   for the duration of execution, so no lock is held while a query runs;
-//! * executions racing on a fresh statement may both plan it; planning is
-//!   deterministic, so the last merge simply reconfirms the same plans.
-//!
-//! ## Address-key soundness
-//!
-//! `PlanCache` keys plans by `&SelectStatement` address. That is sound here
-//! because every address handed to the cache points either into an entry's
-//! `Box`-pinned AST (owned by the entry, never moved, never evicted) or into
-//! an AST owned by an already-cached plan (`SubqueryScan` nodes), and plans
-//! are `Arc`-kept by the entry's cache itself. Entries are only dropped when
-//! the whole `SharedPlanCache` drops, taking the plans with them.
+//! * a prepared statement's plan slots are write-once and filled through
+//!   `&self`, so executions share them with no lock held while a query
+//!   runs; executions racing on a fresh statement may both plan a slot,
+//!   and the first plan stored wins;
+//! * the registry holds at most [`MAX_PREPARED_STATEMENTS`] entries: a new
+//!   statement reaching a full stripe drops one of that stripe's entries.
+//!   An entry owns its AST and plans, and an execution in flight holds its
+//!   own `Arc` of the entry, so eviction never pulls a plan from under a
+//!   running query; an evicted statement is simply parsed again next time.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::ast::SelectStatement;
 use crate::error::SqlResult;
@@ -52,32 +46,29 @@ use crate::profile::QueryProfile;
 use crate::result::{ExecStats, ResultSet};
 use crate::storage::Database;
 
-/// A parsed SELECT pinned behind a stable heap address, plus the plans its
-/// executions have accumulated so far.
+/// A parsed SELECT plus the plans its executions have stored so far.
 #[derive(Debug)]
 pub struct PreparedStatement {
     sql: String,
-    /// `Box` keeps the AST's address stable for the life of the entry — the
-    /// invariant the address-keyed [`PlanCache`] depends on.
-    stmt: Box<SelectStatement>,
+    stmt: SelectStatement,
     /// Every base table the statement can read (lowercased, sorted,
     /// deduplicated; subqueries at any depth included), computed once at
     /// parse. This is the statement's data-dependency set — what
     /// version-keyed caches fingerprint via
     /// [`Database::dependency_fingerprint`].
     referenced_tables: Vec<String>,
-    plans: Mutex<PlanCache>,
+    plans: PlanCache,
 }
 
 impl PreparedStatement {
-    /// Parses `sql` into a pinned statement with an empty plan cache.
+    /// Parses `sql` into a statement with an empty plan cache.
     pub fn parse(sql: &str) -> SqlResult<Self> {
         let stmt = crate::parser::parse_select(sql)?;
         Ok(PreparedStatement {
             sql: sql.to_string(),
             referenced_tables: stmt.all_referenced_tables(),
-            stmt: Box::new(stmt),
-            plans: Mutex::new(PlanCache::default()),
+            plans: PlanCache::new(stmt.query_count()),
+            stmt,
         })
     }
 
@@ -99,26 +90,22 @@ impl PreparedStatement {
         &self.stmt
     }
 
-    /// Number of distinct statements (top-level plus subqueries) planned by
-    /// executions of this prepared statement so far.
+    /// Number of distinct statements (top-level, subqueries, decorrelation
+    /// builds) planned by executions of this prepared statement so far.
     pub fn plans_cached(&self) -> usize {
-        self.plans.lock().len()
+        self.plans.len()
     }
 
     /// Executes against `db` under the production executor
     /// ([`PlanMode::Columnar`]), reusing every plan earlier executions of
-    /// this prepared statement produced and contributing any newly planned
-    /// subqueries back. Plan reuse shows up as `plan_cache_hits` in the
+    /// this prepared statement produced and storing any newly planned
+    /// subqueries. Plan reuse shows up as `plan_cache_hits` in the
     /// returned [`ExecStats`]; the work counters (and therefore the VES cost)
     /// are identical to a fresh execution. The nested-loop oracle never
     /// plans, so it has no place here: run it through
     /// [`crate::execute_with_stats_mode`].
     pub fn execute(&self, db: &Database) -> SqlResult<(ResultSet, ExecStats)> {
-        let snapshot = self.plans.lock().clone();
-        let (rs, stats, updated) =
-            execute_select_with_plan_cache(db, &self.stmt, PlanMode::Columnar, snapshot)?;
-        self.plans.lock().merge(&updated);
-        Ok((rs, stats))
+        execute_select_with_plan_cache(db, &self.stmt, PlanMode::Columnar, &self.plans)
     }
 
     /// [`Self::execute`] plus a per-operator wall-clock [`QueryProfile`].
@@ -129,11 +116,7 @@ impl PreparedStatement {
         &self,
         db: &Database,
     ) -> SqlResult<(ResultSet, ExecStats, QueryProfile)> {
-        let snapshot = self.plans.lock().clone();
-        let (rs, stats, updated, profile) =
-            execute_select_profiled(db, &self.stmt, PlanMode::Columnar, snapshot)?;
-        self.plans.lock().merge(&updated);
-        Ok((rs, stats, profile))
+        execute_select_profiled(db, &self.stmt, PlanMode::Columnar, &self.plans)
     }
 
     /// Static `EXPLAIN` rendering of this statement (plans but never
@@ -148,15 +131,21 @@ impl PreparedStatement {
 /// workers preparing *different* statements virtually never contend.
 const DEFAULT_PLAN_SHARDS: usize = 16;
 
+/// Most prepared statements a [`SharedPlanCache`] holds, split evenly over
+/// its stripes — the result cache's default cap. A long-lived server fed an
+/// open-ended stream of distinct SQL keeps its plan memory bounded.
+pub const MAX_PREPARED_STATEMENTS: usize = 1024;
+
 /// One lock stripe of the registry. The map is two-level — database name,
 /// then SQL text — so the hot lookup path can probe with borrowed `&str`s
 /// and never allocates a key; only first-sight insertion owns strings.
 type PlanShard = RwLock<HashMap<String, HashMap<String, Arc<PreparedStatement>>>>;
 
-/// A process-wide plan cache: SQL text in, pinned AST + accumulated plans
-/// out, shared safely across threads. The registry is striped across
-/// independent locks (see [`SharedPlanCache::with_shards`]) so concurrent
-/// preparation of distinct statements is contention-free.
+/// A process-wide plan cache: SQL text in, prepared statement (AST +
+/// stored plans) out, shared safely across threads. The registry is
+/// striped across independent locks (see [`SharedPlanCache::with_shards`])
+/// so concurrent preparation of distinct statements is contention-free, and
+/// bounded by [`MAX_PREPARED_STATEMENTS`].
 ///
 /// Keys include the database *name* so one cache can serve a whole benchmark
 /// (plans depend on schema metadata, which differs per database). Callers
@@ -180,11 +169,12 @@ impl SharedPlanCache {
     }
 
     /// Creates an empty shared cache striped across at least `shards`
-    /// independent locks (rounded up to a power of two, minimum 1). Callers
-    /// that know their worker count pass it here so no two workers are
-    /// forced onto the same stripe by construction.
+    /// independent locks (rounded up to a power of two, minimum 1, at most
+    /// [`MAX_PREPARED_STATEMENTS`]). Callers that know their worker count
+    /// pass it here so no two workers are forced onto the same stripe by
+    /// construction.
     pub fn with_shards(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
+        let n = shards.clamp(1, MAX_PREPARED_STATEMENTS).next_power_of_two();
         SharedPlanCache { shards: (0..n).map(|_| RwLock::new(HashMap::new())).collect() }
     }
 
@@ -201,10 +191,9 @@ impl SharedPlanCache {
         &self.shards[(hasher.finish() as usize) & (self.shards.len() - 1)]
     }
 
-    /// Returns the pinned prepared statement for `sql` against the named
-    /// database, parsing it on first sight. Parse errors are not cached (a
-    /// malformed statement re-reports its error each time, like the
-    /// unprepared path).
+    /// Returns the prepared statement for `sql` against the named database,
+    /// parsing it on first sight. Parse errors are not cached (a malformed
+    /// statement re-reports its error each time, like the unprepared path).
     pub fn prepare(&self, db_name: &str, sql: &str) -> SqlResult<Arc<PreparedStatement>> {
         let shard = self.shard_for(db_name, sql);
         // Hot path: borrowed-key probe, no allocation per served statement.
@@ -214,14 +203,25 @@ impl SharedPlanCache {
         let prepared = Arc::new(PreparedStatement::parse(sql)?);
         let mut entries = shard.write();
         // Another thread may have prepared the same statement between the
-        // read and write locks; keep the first entry so its accumulated
-        // plans are not discarded.
-        let entry = entries
+        // read and write locks; keep the first entry so its stored plans
+        // are not discarded.
+        if let Some(entry) = entries.get(db_name).and_then(|stmts| stmts.get(sql)) {
+            return Ok(Arc::clone(entry));
+        }
+        // A full stripe drops an arbitrary entry to make room.
+        let stripe_cap = MAX_PREPARED_STATEMENTS / self.shards.len();
+        if entries.values().map(HashMap::len).sum::<usize>() >= stripe_cap {
+            if let Some(stmts) = entries.values_mut().find(|stmts| !stmts.is_empty()) {
+                if let Some(victim) = stmts.keys().next().cloned() {
+                    stmts.remove(&victim);
+                }
+            }
+        }
+        entries
             .entry(db_name.to_string())
             .or_default()
-            .entry(sql.to_string())
-            .or_insert(prepared);
-        Ok(Arc::clone(entry))
+            .insert(sql.to_string(), Arc::clone(&prepared));
+        Ok(prepared)
     }
 
     /// Parses (or reuses) and executes `sql` against `db`, sharing plans
@@ -230,7 +230,7 @@ impl SharedPlanCache {
         self.prepare(db.name(), sql)?.execute(db)
     }
 
-    /// Number of prepared statements currently pinned, across all stripes.
+    /// Number of prepared statements currently cached, across all stripes.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.read().values().map(HashMap::len).sum::<usize>()).sum()
     }
@@ -287,7 +287,7 @@ mod tests {
         let d = db();
         let cache = SharedPlanCache::new();
         // Genuinely correlated scalar aggregate: decorrelates into a group
-        // join whose build statement is Arc-pinned by the plan cache.
+        // join whose build statement has a plan slot of its own.
         let sql = "SELECT id FROM t AS outer_t \
                    WHERE v > (SELECT AVG(i.v) FROM t AS i WHERE i.grp = outer_t.grp)";
         let (rs1, stats1) = cache.execute(&d, sql).unwrap();
@@ -312,12 +312,9 @@ mod tests {
     }
 
     #[test]
-    fn repeated_prepared_executions_do_not_grow_the_pin_set() {
-        // Regression: merge used to pin every already-known entry and
-        // re-absorb the snapshot's own pinned list, doubling the pin set on
-        // every execute/merge cycle (2^n blowup made the 30th execution of
-        // a hot prepared statement unaffordable). Serial re-execution folds
-        // the same Arcs back and must pin nothing.
+    fn repeated_prepared_executions_keep_two_plans() {
+        // Fifty serial executions of a decorrelated statement replay the
+        // same two plan slots: the outer statement and the build side.
         let d = db();
         let cache = SharedPlanCache::new();
         let sql = "SELECT id FROM t AS outer_t \
@@ -325,12 +322,45 @@ mod tests {
         let prepared = cache.prepare(d.name(), sql).unwrap();
         let (first, _) = prepared.execute(&d).unwrap();
         for _ in 0..50 {
-            let (rs, _) = prepared.execute(&d).unwrap();
+            let (rs, stats) = prepared.execute(&d).unwrap();
             assert_eq!(rs.rows, first.rows);
+            assert_eq!(stats.plan_cache_misses, 0);
+            assert_eq!(prepared.plans_cached(), 2, "outer statement + decorrelated build side");
         }
-        let plans = prepared.plans.lock();
-        assert_eq!(plans.pinned_len(), 0, "same-Arc merges must not pin");
-        assert_eq!(plans.len(), 2, "outer statement + decorrelated build side");
+    }
+
+    #[test]
+    fn racing_first_executions_share_one_statement() {
+        // Eight threads, more than a small host has cores, run the first
+        // execution of one fresh prepared statement at once: every slot
+        // may be planned by several of them, and the rows must still match
+        // the oracle everywhere.
+        let d = db();
+        let sql = "SELECT o.id, (SELECT AVG(i.v) FROM t AS i WHERE i.grp = o.grp) AS avg_v \
+                   FROM (SELECT id, grp FROM t WHERE v > 30) AS o \
+                   WHERE o.grp IN (SELECT grp FROM t WHERE id < 3) ORDER BY o.id";
+        let (oracle, _) =
+            crate::exec::execute_with_stats_mode(&d, sql, PlanMode::NestedLoop).unwrap();
+        assert!(!oracle.rows.is_empty());
+        let prepared = PreparedStatement::parse(sql).unwrap();
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        prepared.execute(&d).unwrap().0.rows
+                    })
+                })
+                .collect();
+            for run in runs {
+                assert_eq!(run.join().unwrap(), oracle.rows);
+            }
+        });
+        let (rs, stats) = prepared.execute(&d).unwrap();
+        assert_eq!(rs.rows, oracle.rows);
+        assert_eq!(stats.plan_cache_misses, 0, "every slot was filled by the racing executions");
+        assert!(stats.decorrelated_subqueries >= 1, "the correlated subquery is decorrelated");
     }
 
     #[test]
@@ -372,7 +402,7 @@ mod tests {
         let (b, _) = cache.execute(&d2, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(a.rows[0][0], Value::Integer(40));
         assert_eq!(b.rows[0][0], Value::Integer(1));
-        assert_eq!(cache.len(), 2, "same SQL against different databases pins two entries");
+        assert_eq!(cache.len(), 2, "same SQL against different databases makes two entries");
     }
 
     #[test]

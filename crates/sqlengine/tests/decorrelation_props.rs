@@ -89,18 +89,18 @@ const QUERIES: &[&str] = &[
 /// returns the decorrelated path's stats.
 fn triangulate(db: &Database, sql: &str) -> ExecStats {
     let stmt = parse_select(sql).unwrap();
-    let (decorr, stats, _) =
-        execute_select_with_plan_cache(db, &stmt, PlanMode::Columnar, PlanCache::default())
-            .unwrap();
-    let (perrow, perrow_stats, _) = execute_select_with_plan_cache(
+    let n = stmt.query_count();
+    let (decorr, stats) =
+        execute_select_with_plan_cache(db, &stmt, PlanMode::Columnar, &PlanCache::new(n)).unwrap();
+    let (perrow, perrow_stats) = execute_select_with_plan_cache(
         db,
         &stmt,
         PlanMode::Columnar,
-        PlanCache::without_decorrelation(),
+        &PlanCache::without_decorrelation(n),
     )
     .unwrap();
-    let (legacy, _, _) =
-        execute_select_with_plan_cache(db, &stmt, PlanMode::NestedLoop, PlanCache::default())
+    let (legacy, _) =
+        execute_select_with_plan_cache(db, &stmt, PlanMode::NestedLoop, &PlanCache::new(n))
             .unwrap();
     assert_eq!(decorr.rows, legacy.rows, "decorrelated vs nested-loop: {sql}");
     assert_eq!(perrow.rows, legacy.rows, "per-row cached-plan vs nested-loop: {sql}");
@@ -185,12 +185,11 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
          (SELECT NOSUCHFN(i.v) FROM i WHERE i.k = o.k)",
     ] {
         let stmt = parse_select(sql).unwrap();
-        let decorr =
-            execute_select_with_plan_cache(&db, &stmt, PlanMode::Columnar, PlanCache::default());
-        let legacy =
-            execute_select_with_plan_cache(&db, &stmt, PlanMode::NestedLoop, PlanCache::default());
+        let plans = PlanCache::new(stmt.query_count());
+        let decorr = execute_select_with_plan_cache(&db, &stmt, PlanMode::Columnar, &plans);
+        let legacy = execute_select_with_plan_cache(&db, &stmt, PlanMode::NestedLoop, &plans);
         match (decorr, legacy) {
-            (Ok((a, stats, _)), Ok((b, _, _))) => {
+            (Ok((a, stats)), Ok((b, _))) => {
                 assert_eq!(a.rows, b.rows, "row divergence: {sql}");
                 assert_eq!(stats.decorrelated_subqueries, 0, "must not rewrite: {sql}");
             }
@@ -219,13 +218,9 @@ fn nested_subqueries_at_relocated_evaluation_sites_refuse_the_rewrite() {
          (SELECT NOSUCHFN(i.v) FROM i WHERE i.k = o.k)",
     ] {
         let stmt = parse_select(sql).unwrap();
-        let (rs, stats, _) = execute_select_with_plan_cache(
-            &disjoint,
-            &stmt,
-            PlanMode::Columnar,
-            PlanCache::default(),
-        )
-        .unwrap();
+        let plans = PlanCache::new(stmt.query_count());
+        let (rs, stats) =
+            execute_select_with_plan_cache(&disjoint, &stmt, PlanMode::Columnar, &plans).unwrap();
         assert!(rs.rows.is_empty(), "{sql}");
         assert_eq!(stats.decorrelated_subqueries, 0, "{sql}");
     }

@@ -224,13 +224,9 @@ fn correlated_subquery_plans_once_and_hits_thereafter() {
     // The per-outer-row cached-plan path survives behind
     // `PlanCache::without_decorrelation`, row-identical, for triangulation.
     let stmt = parse_select(sql).unwrap();
-    let (norw, norw_stats, _) = execute_select_with_plan_cache(
-        db,
-        &stmt,
-        PlanMode::Columnar,
-        PlanCache::without_decorrelation(),
-    )
-    .unwrap();
+    let plans = PlanCache::without_decorrelation(stmt.query_count());
+    let (norw, norw_stats) =
+        execute_select_with_plan_cache(db, &stmt, PlanMode::Columnar, &plans).unwrap();
     assert_eq!(norw.rows, rs.rows);
     assert_eq!(norw_stats.decorrelated_subqueries, 0);
     assert_eq!(

@@ -107,8 +107,8 @@ const CASES: &[(&str, PlanMode, &str)] = &[
     (
         "scalar_aggregate_group_join",
         PlanMode::Columnar,
-        "SELECT loan_id FROM loan WHERE amount > \
-         (SELECT AVG(l2.amount) FROM loan AS l2 WHERE l2.account_id = loan.account_id)",
+        "SELECT l1.loan_id FROM loan AS l1 WHERE l1.amount > \
+         (SELECT AVG(l2.amount) FROM loan AS l2 WHERE l2.account_id = l1.account_id)",
     ),
     (
         "uncorrelated_scalar_columnar",
@@ -239,8 +239,9 @@ fn explain_analyze_timings_never_leak_into_stats_or_rows() {
     for (name, _, sql) in CASES {
         for mode in [PlanMode::Columnar, PlanMode::NestedLoop] {
             let stmt = parse_select(sql).unwrap();
-            let (profiled_rows, profiled_stats, _, profile) =
-                execute_select_profiled(&db, &stmt, mode, PlanCache::default()).unwrap();
+            let plans = PlanCache::new(stmt.query_count());
+            let (profiled_rows, profiled_stats, profile) =
+                execute_select_profiled(&db, &stmt, mode, &plans).unwrap();
             let (plain_rows, plain_stats) = execute_with_stats_mode(&db, sql, mode).unwrap();
             assert_eq!(
                 profiled_rows.rows, plain_rows.rows,
