@@ -4,7 +4,8 @@
 //! scaling benches behind `BENCH_engine.json` — GROUP BY / DISTINCT and BM25
 //! search at 1x vs 10x input sizes (hash grouping and the inverted index
 //! must scale ~linearly, not quadratically), plus a correlated-subquery
-//! workload whose per-outer-row re-planning is eliminated by the plan cache.
+//! workload whose per-outer-row re-planning is eliminated by the plan cache,
+//! and SEED's sample-SQL probe shapes on BIRD toxicology at scale 16.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seed_datasets::{bird::build_bird, CorpusConfig, Split};
@@ -304,6 +305,33 @@ fn engine_benches(c: &mut Criterion) {
     c.bench_function("retrieval/bm25_build_10x", |b| {
         b.iter(|| Bm25Index::build(synthetic_docs(BASE_DOCS * 10)))
     });
+
+    // SEED's two probe shapes (paper §III-B) and their building blocks, on
+    // BIRD toxicology at scale 16 (`atom` has 4,774 rows, `bond` 3,905),
+    // through `execute` as the pipeline calls it. The last two are
+    // references whose cost lies elsewhere (a full sort, a gather of the
+    // survivors). Each asserts row identity with the nested-loop oracle.
+    let bird16 = build_bird(&CorpusConfig { scale: 16.0, ..CorpusConfig::default() });
+    let toxicology = bird16.database("toxicology").unwrap();
+    let probe_shapes: &[(&str, &str)] = &[
+        ("engine/probe_distinct_16x", "SELECT DISTINCT element FROM atom LIMIT 40"),
+        (
+            "engine/probe_distinct_like_16x",
+            "SELECT DISTINCT element FROM atom WHERE element LIKE '%c%' LIMIT 10",
+        ),
+        ("engine/count_eq_16x", "SELECT COUNT(*) FROM atom WHERE element = 'cl'"),
+        ("engine/count_like_16x", "SELECT COUNT(*) FROM atom WHERE element LIKE '%cl%'"),
+        ("engine/limit_1_16x", "SELECT atom_id FROM atom LIMIT 1"),
+        ("engine/order_by_limit_1_16x", "SELECT atom_id FROM atom ORDER BY atom_id LIMIT 1"),
+        ("engine/count_eq_bond_16x", "SELECT COUNT(*) FROM bond WHERE bond_type = '-'"),
+    ];
+    for (name, sql) in probe_shapes {
+        let (col, _) = execute_with_stats_mode(toxicology, sql, PlanMode::Columnar).unwrap();
+        let (nl, _) = execute_with_stats_mode(toxicology, sql, PlanMode::NestedLoop).unwrap();
+        assert_eq!(col.rows, nl.rows, "columnar must be row-identical on {sql}");
+        assert!(!col.rows.is_empty(), "{sql} must return rows");
+        c.bench_function(name, |b| b.iter(|| execute(toxicology, sql).unwrap()));
+    }
 
     // PK point lookup vs full scan on the largest base table.
     c.bench_function("engine/pk_lookup_hash_index", |b| {

@@ -24,7 +24,7 @@
 
 use std::sync::Arc;
 
-use crate::value::{Truth, Value};
+use crate::value::{CellRef, Truth, Value};
 
 /// Maximum number of rows carried by one [`DataChunk`].
 pub const BATCH_SIZE: usize = 1024;
@@ -47,6 +47,14 @@ impl NullBitmap {
     /// An all-valid bitmap of the given length.
     pub fn new_valid(len: usize) -> Self {
         NullBitmap { bits: vec![0; len.div_ceil(64)], len, nulls: 0 }
+    }
+
+    /// A bitmap of `len` rows from its packed words (bit `i` set: row `i`
+    /// is NULL). Bits past `len` must be clear.
+    pub(crate) fn from_words(bits: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(bits.len(), len.div_ceil(64));
+        let nulls = bits.iter().map(|w| w.count_ones() as usize).sum();
+        NullBitmap { bits, len, nulls }
     }
 
     /// Appends one validity flag.
@@ -139,32 +147,38 @@ impl ColumnArray {
         }
     }
 
-    /// The cell at row `i` as an owned [`Value`].
-    pub fn value_at(&self, i: usize) -> Value {
+    /// The cell at row `i`, borrowed.
+    #[inline]
+    pub(crate) fn cell(&self, i: usize) -> CellRef<'_> {
         match self {
             ColumnArray::Int { values, nulls } => {
                 if nulls.is_null(i) {
-                    Value::Null
+                    CellRef::Null
                 } else {
-                    Value::Integer(values[i])
+                    CellRef::Int(values[i])
                 }
             }
             ColumnArray::Real { values, nulls } => {
                 if nulls.is_null(i) {
-                    Value::Null
+                    CellRef::Null
                 } else {
-                    Value::Real(values[i])
+                    CellRef::Real(values[i])
                 }
             }
             ColumnArray::Text { values, nulls } => {
                 if nulls.is_null(i) {
-                    Value::Null
+                    CellRef::Null
                 } else {
-                    Value::Text(values[i].clone())
+                    CellRef::Text(&values[i])
                 }
             }
-            ColumnArray::Mixed { values } => values[i].clone(),
+            ColumnArray::Mixed { values } => CellRef::from(&values[i]),
         }
+    }
+
+    /// The cell at row `i` as an owned [`Value`].
+    pub fn value_at(&self, i: usize) -> Value {
+        self.cell(i).to_value()
     }
 
     /// Moves the cell at row `i` out of the column, leaving a NULL-class
@@ -199,30 +213,7 @@ impl ColumnArray {
 
     /// SQL truthiness of the cell at row `i` (see [`Value::to_truth`]).
     pub fn truth_at(&self, i: usize) -> Truth {
-        match self {
-            ColumnArray::Int { values, nulls } => {
-                if nulls.is_null(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(values[i] != 0)
-                }
-            }
-            ColumnArray::Real { values, nulls } => {
-                if nulls.is_null(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(values[i] != 0.0)
-                }
-            }
-            ColumnArray::Text { values, nulls } => {
-                if nulls.is_null(i) {
-                    Truth::Unknown
-                } else {
-                    Truth::from_bool(!values[i].is_empty() && values[i] != "0")
-                }
-            }
-            ColumnArray::Mixed { values } => values[i].to_truth(),
-        }
+        self.cell(i).truth()
     }
 
     /// Builds a column from a slice of values.

@@ -29,6 +29,26 @@
 //! `cast_value` is infallible — so a dead row can never surface an error
 //! a live row would not.
 //!
+//! ## Scalar operands
+//!
+//! A kernel operand is an `Operand`: a column with a cell per physical
+//! row, or one cell that stands for every row. A literal is borrowed from
+//! the statement as a scalar and never expanded into a column. The
+//! compare, `LIKE`, `IN`, `BETWEEN`, arithmetic and negation kernels take
+//! either form on either side; compare has typed loops for `Int`, `Real`
+//! and `Text` columns against a scalar, each `cell_cmp` specialized to its
+//! class, and `LIKE` compiles a scalar pattern once per chunk into a
+//! [`LikePattern`]. Those kernels over scalars alone return a scalar; the
+//! others (`CASE`, functions, `CAST`, concatenation, `AND`/`OR`/`NOT`)
+//! read scalars through the same per-row accessors and return columns, so
+//! a function over literals still runs once per row and raises its errors
+//! exactly where the row path does.
+//!
+//! The evaluation count does not see the difference: every node a batch
+//! pass produces counts `chunk.rows()` evaluations, a literal or a kernel
+//! over scalars included. So [`crate::ExecStats`] — and the VES cost built
+//! on it — is the same whichever form an operand takes.
+//!
 //! ## Semantics contract
 //!
 //! Results must be row-identical, in row order, to the
@@ -62,7 +82,7 @@ use crate::functions::eval_scalar_function;
 use crate::plan::{expand_projections, ColMeta as ColInfo, PlanNode};
 use crate::result::ResultSet;
 use crate::storage::{EqKeyMap, GroupKeyMap};
-use crate::value::{cmp_f64, like_match, ArithOp, Truth, Value};
+use crate::value::{cmp_f64, like_match, ArithOp, CellRef, LikePattern, Truth, Value};
 
 /// A reference-counted immutable batch: scans hand out the table's cached
 /// snapshot chunks without copying, and filters that keep a whole chunk
@@ -103,62 +123,6 @@ fn gather_shared(
     DataChunk::new(builders.into_iter().map(ArrayBuilder::finish).collect(), idx.len())
 }
 
-/// A borrowed view of one cell of a [`ColumnArray`]: the batch kernels'
-/// working currency. Copy for numbers, borrowed for text — no cell is ever
-/// cloned to be compared.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum CellRef<'a> {
-    Null,
-    Int(i64),
-    Real(f64),
-    Text(&'a str),
-}
-
-impl<'a> CellRef<'a> {
-    #[inline]
-    fn as_f64(self) -> Option<f64> {
-        match self {
-            CellRef::Int(i) => Some(i as f64),
-            CellRef::Real(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-/// The cell at row `i` of `col`, as a borrowed [`CellRef`].
-#[inline]
-pub(crate) fn cell_ref(col: &ColumnArray, i: usize) -> CellRef<'_> {
-    match col {
-        ColumnArray::Int { values, nulls } => {
-            if nulls.is_null(i) {
-                CellRef::Null
-            } else {
-                CellRef::Int(values[i])
-            }
-        }
-        ColumnArray::Real { values, nulls } => {
-            if nulls.is_null(i) {
-                CellRef::Null
-            } else {
-                CellRef::Real(values[i])
-            }
-        }
-        ColumnArray::Text { values, nulls } => {
-            if nulls.is_null(i) {
-                CellRef::Null
-            } else {
-                CellRef::Text(&values[i])
-            }
-        }
-        ColumnArray::Mixed { values } => match &values[i] {
-            Value::Null => CellRef::Null,
-            Value::Integer(v) => CellRef::Int(*v),
-            Value::Real(v) => CellRef::Real(*v),
-            Value::Text(s) => CellRef::Text(s),
-        },
-    }
-}
-
 /// [`Value::sql_cmp`], cell-for-cell, without materializing values: `None`
 /// when either side is NULL; text/text lexicographic; text that parses as a
 /// float (`'nan'` included) compares numerically against numbers, text that
@@ -182,25 +146,16 @@ pub(crate) fn cell_cmp(a: CellRef<'_>, b: CellRef<'_>) -> Option<std::cmp::Order
     }
 }
 
-/// [`Value::to_truth`] over a [`CellRef`].
-#[inline]
-fn cell_truth(c: CellRef<'_>) -> Truth {
-    match c {
-        CellRef::Null => Truth::Unknown,
-        CellRef::Int(i) => Truth::from_bool(i != 0),
-        CellRef::Real(r) => Truth::from_bool(r != 0.0),
-        CellRef::Text(s) => Truth::from_bool(!s.is_empty() && s != "0"),
-    }
-}
-
 /// [`Value::render`] over a [`CellRef`], borrowing text.
-fn cell_render(c: CellRef<'_>) -> std::borrow::Cow<'_, str> {
-    use std::borrow::Cow;
+fn cell_render(c: CellRef<'_>) -> Cow<'_, str> {
     match c {
         CellRef::Null => Cow::Borrowed("NULL"),
-        CellRef::Int(i) => Cow::Owned(i.to_string()),
-        CellRef::Real(r) => Cow::Owned(Value::Real(r).render()),
         CellRef::Text(s) => Cow::Borrowed(s),
+        number => {
+            let mut out = String::new();
+            number.render_into(&mut out);
+            Cow::Owned(out)
+        }
     }
 }
 
@@ -357,24 +312,120 @@ pub(crate) fn collect_aggregates<'e>(expr: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Broadcasts one literal across `n` rows.
-fn broadcast(v: &Value, n: usize) -> ColumnArray {
-    match v {
-        Value::Null => {
-            let mut nulls = NullBitmap::default();
-            for _ in 0..n {
-                nulls.push(true);
-            }
-            ColumnArray::Int { values: vec![0; n], nulls }
+/// One operand of a batch kernel: a column with a cell per physical row of
+/// the chunk, or one cell standing for every row. A literal evaluates to
+/// `Scalar` and is never expanded into a column; so does a compare, `LIKE`,
+/// `IN`, `BETWEEN`, arithmetic or negation whose operands are all scalars.
+/// Consumers read both forms through the same per-row accessors.
+#[derive(Debug)]
+pub(crate) enum Operand<'c> {
+    Col(Cow<'c, ColumnArray>),
+    Scalar(Cow<'c, Value>),
+}
+
+impl<'c> Operand<'c> {
+    fn col(c: ColumnArray) -> Self {
+        Operand::Col(Cow::Owned(c))
+    }
+
+    fn scalar(v: Value) -> Self {
+        Operand::Scalar(Cow::Owned(v))
+    }
+
+    fn is_scalar(&self) -> bool {
+        matches!(self, Operand::Scalar(_))
+    }
+
+    /// The cell of physical row `i` (a scalar's one cell for every `i`).
+    #[inline]
+    fn cell(&self, i: usize) -> CellRef<'_> {
+        match self {
+            Operand::Col(c) => c.cell(i),
+            Operand::Scalar(v) => CellRef::from(v.as_ref()),
         }
-        Value::Integer(i) => {
-            ColumnArray::Int { values: vec![*i; n], nulls: NullBitmap::new_valid(n) }
+    }
+
+    fn is_null(&self, i: usize) -> bool {
+        matches!(self.cell(i), CellRef::Null)
+    }
+
+    fn truth_at(&self, i: usize) -> Truth {
+        self.cell(i).truth()
+    }
+
+    /// Row `i` as a value, borrowed from a scalar and built for a column.
+    fn value_cow(&self, i: usize) -> Cow<'_, Value> {
+        match self {
+            Operand::Col(c) => Cow::Owned(c.value_at(i)),
+            Operand::Scalar(v) => Cow::Borrowed(v.as_ref()),
         }
-        Value::Real(r) => {
-            ColumnArray::Real { values: vec![*r; n], nulls: NullBitmap::new_valid(n) }
+    }
+
+    fn value_at(&self, i: usize) -> Value {
+        self.value_cow(i).into_owned()
+    }
+
+    /// Row `i` as an owned value, moved out of an owned column (the caller
+    /// must not read row `i` again) and cloned otherwise.
+    fn take_at(&mut self, i: usize) -> Value {
+        match self {
+            Operand::Col(Cow::Owned(c)) => c.take_at(i),
+            other => other.value_at(i),
         }
-        Value::Text(s) => {
-            ColumnArray::Text { values: vec![s.clone(); n], nulls: NullBitmap::new_valid(n) }
+    }
+
+    /// Appends row `i` to `b`.
+    fn push_to(&self, b: &mut ArrayBuilder, i: usize) {
+        match self {
+            Operand::Col(c) => b.push_from(c, i),
+            Operand::Scalar(v) => b.push(v),
+        }
+    }
+
+    fn into_owned(self) -> Operand<'static> {
+        match self {
+            Operand::Col(c) => Operand::Col(Cow::Owned(c.into_owned())),
+            Operand::Scalar(v) => Operand::Scalar(Cow::Owned(v.into_owned())),
+        }
+    }
+}
+
+/// One evaluated column of a selection-carrying chunk: batch results index
+/// *physical* rows, row-bridged results hold one value per *live* row.
+enum LiveCol<'c> {
+    Batch(Operand<'c>),
+    Rows(Vec<Value>),
+}
+
+impl LiveCol<'_> {
+    /// The cell of the `k`-th live row, physical row `phys`.
+    fn cell(&self, k: usize, phys: usize) -> CellRef<'_> {
+        match self {
+            LiveCol::Batch(o) => o.cell(phys),
+            LiveCol::Rows(vals) => CellRef::from(&vals[k]),
+        }
+    }
+
+    /// The value of the `k`-th live row, physical row `phys`, moved out
+    /// where the column owns it: each row may be taken once.
+    fn take(&mut self, k: usize, phys: usize) -> Value {
+        match self {
+            LiveCol::Batch(o) => o.take_at(phys),
+            LiveCol::Rows(vals) => std::mem::replace(&mut vals[k], Value::Null),
+        }
+    }
+}
+
+/// Appends the `k`-th live row's expression-sourced ORDER BY key values.
+fn take_keys(
+    key_vals: &mut [Vec<Value>],
+    kcols: &mut [Option<LiveCol<'_>>],
+    k: usize,
+    phys: usize,
+) {
+    for (vals, kc) in key_vals.iter_mut().zip(kcols) {
+        if let Some(kc) = kc {
+            vals.push(kc.take(k, phys));
         }
     }
 }
@@ -382,30 +433,36 @@ fn broadcast(v: &Value, n: usize) -> ColumnArray {
 /// Builds a SQL-boolean (`Int` 0/1 with NULL for unknown) column from a
 /// per-row truth computation.
 fn truth_col(n: usize, mut f: impl FnMut(usize) -> Truth) -> ColumnArray {
-    let mut values = Vec::with_capacity(n);
-    let mut nulls = NullBitmap::default();
-    for i in 0..n {
+    let mut values = vec![0i64; n];
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    for (i, v) in values.iter_mut().enumerate() {
         match f(i) {
-            Truth::True => {
-                values.push(1);
-                nulls.push(false);
-            }
-            Truth::False => {
-                values.push(0);
-                nulls.push(false);
-            }
-            Truth::Unknown => {
-                values.push(0);
-                nulls.push(true);
-            }
+            Truth::True => *v = 1,
+            Truth::False => {}
+            Truth::Unknown => bits[i / 64] |= 1 << (i % 64),
         }
     }
-    ColumnArray::Int { values, nulls }
+    ColumnArray::Int { values, nulls: NullBitmap::from_words(bits, n) }
 }
 
-/// Comparison kernel: the batch form of the row path's `Compare` arm.
-fn cmp_batch(op: CompareOp, l: &ColumnArray, r: &ColumnArray) -> ColumnArray {
-    truth_col(l.len(), |i| match cell_cmp(cell_ref(l, i), cell_ref(r, i)) {
+/// A per-row truth kernel over operands that may be scalars: one scalar
+/// result when every operand is a scalar, else a truth column.
+fn truth_operand(
+    all_scalar: bool,
+    n: usize,
+    mut f: impl FnMut(usize) -> Truth,
+) -> Operand<'static> {
+    if all_scalar {
+        Operand::scalar(f(0).to_value())
+    } else {
+        Operand::col(truth_col(n, f))
+    }
+}
+
+/// `op` applied to a comparison outcome (`None`: a NULL operand).
+#[inline]
+fn cmp_truth(op: CompareOp, ord: Option<Ordering>) -> Truth {
+    match ord {
         None => Truth::Unknown,
         Some(ord) => Truth::from_bool(match op {
             CompareOp::Eq => ord.is_eq(),
@@ -415,7 +472,132 @@ fn cmp_batch(op: CompareOp, l: &ColumnArray, r: &ColumnArray) -> ColumnArray {
             CompareOp::Gt => ord.is_gt(),
             CompareOp::GtEq => ord.is_ge(),
         }),
-    })
+    }
+}
+
+/// Comparison kernel: the batch form of the row path's `Compare` arm. A
+/// scalar on the left compares as the column against it with the ordering
+/// reversed (`cell_cmp` is antisymmetric).
+fn cmp_batch(op: CompareOp, l: &Operand<'_>, r: &Operand<'_>, n: usize) -> Operand<'static> {
+    match (l, r) {
+        (Operand::Col(a), Operand::Col(b)) => {
+            Operand::col(truth_col(n, |i| cmp_truth(op, cell_cmp(a.cell(i), b.cell(i)))))
+        }
+        (Operand::Col(c), Operand::Scalar(s)) => {
+            Operand::col(cmp_col_scalar(c, CellRef::from(s.as_ref()), |o| cmp_truth(op, o)))
+        }
+        (Operand::Scalar(s), Operand::Col(c)) => {
+            Operand::col(cmp_col_scalar(c, CellRef::from(s.as_ref()), |o| {
+                cmp_truth(op, o.map(Ordering::reverse))
+            }))
+        }
+        (Operand::Scalar(_), Operand::Scalar(_)) => {
+            Operand::scalar(cmp_truth(op, cell_cmp(l.cell(0), r.cell(0))).to_value())
+        }
+    }
+}
+
+/// `truth(cell_cmp(col[i], s))` for every row, in a typed loop per storage
+/// class: each loop is `cell_cmp` specialized to its class. Text cells
+/// against a numeric scalar, and mixed storage, keep `cell_cmp` per cell.
+fn cmp_col_scalar(
+    col: &ColumnArray,
+    s: CellRef<'_>,
+    truth: impl Fn(Option<Ordering>) -> Truth,
+) -> ColumnArray {
+    let n = col.len();
+    match (col, s) {
+        (_, CellRef::Null) => truth_col(n, |_| Truth::Unknown),
+        (ColumnArray::Int { values, nulls }, _) => {
+            cmp_num_scalar(nulls, |i| values[i] as f64, s, truth)
+        }
+        (ColumnArray::Real { values, nulls }, _) => cmp_num_scalar(nulls, |i| values[i], s, truth),
+        (ColumnArray::Text { values, nulls }, CellRef::Text(y)) => truth_col(n, |i| {
+            if nulls.is_null(i) {
+                Truth::Unknown
+            } else {
+                truth(Some(values[i].as_str().cmp(y)))
+            }
+        }),
+        _ => truth_col(n, |i| truth(cell_cmp(col.cell(i), s))),
+    }
+}
+
+/// The numeric loop of [`cmp_col_scalar`]: `x(i)` is row `i`'s number and
+/// `s` is not NULL. Against a number, rows compare through [`cmp_f64`].
+/// Against text, rows compare numerically when the text parses as a float
+/// (`'nan'` included) and sort before it otherwise — decided once for the
+/// scalar, not per row.
+fn cmp_num_scalar(
+    nulls: &NullBitmap,
+    x: impl Fn(usize) -> f64,
+    s: CellRef<'_>,
+    truth: impl Fn(Option<Ordering>) -> Truth,
+) -> ColumnArray {
+    let rhs = match s {
+        CellRef::Text(y) => y.parse::<f64>().map_err(|_| Ordering::Less),
+        other => Ok(other.as_f64().expect("NULL scalars are handled by the caller")),
+    };
+    match rhs {
+        Ok(y) => truth_col(nulls.len(), |i| {
+            if nulls.is_null(i) {
+                Truth::Unknown
+            } else {
+                truth(Some(cmp_f64(x(i), y)))
+            }
+        }),
+        Err(ord) => {
+            let t = truth(Some(ord));
+            truth_col(nulls.len(), |i| if nulls.is_null(i) { Truth::Unknown } else { t })
+        }
+    }
+}
+
+/// `LIKE` kernel. A scalar pattern compiles once per chunk; a pattern
+/// column compiles per row. Non-text cells match as rendered, like the row
+/// path; with a scalar pattern, numbers render into one reused buffer.
+fn like_batch(v: &Operand<'_>, p: &Operand<'_>, negated: bool, n: usize) -> Operand<'static> {
+    let all_scalar = v.is_scalar() && p.is_scalar();
+    match p {
+        Operand::Scalar(pv) if !pv.is_null() => {
+            let pattern = LikePattern::new(&pv.render());
+            let mut rendered = String::new();
+            truth_operand(all_scalar, n, |i| {
+                let text = match v.cell(i) {
+                    CellRef::Null => return Truth::Unknown,
+                    CellRef::Text(s) => s,
+                    number => {
+                        rendered.clear();
+                        number.render_into(&mut rendered);
+                        rendered.as_str()
+                    }
+                };
+                Truth::from_bool(pattern.matches(text) != negated)
+            })
+        }
+        _ => truth_operand(all_scalar, n, |i| match (v.cell(i), p.cell(i)) {
+            (CellRef::Null, _) | (_, CellRef::Null) => Truth::Unknown,
+            (a, b) => Truth::from_bool(like_match(&cell_render(b), &cell_render(a)) != negated),
+        }),
+    }
+}
+
+/// The storage class an operand presents to the arithmetic kernel's typed
+/// loops: `Some(true)` for integers (a NULL scalar included), `Some(false)`
+/// for reals, `None` for text or mixed storage.
+fn int_class(o: &Operand<'_>) -> Option<bool> {
+    match o {
+        Operand::Col(c) => match c.as_ref() {
+            ColumnArray::Int { .. } => Some(true),
+            ColumnArray::Real { .. } => Some(false),
+            _ => None,
+        },
+        Operand::Scalar(v) => match v.as_ref() {
+            Value::Null | Value::Integer(_) => Some(true),
+            Value::Real(_) => Some(false),
+            Value::Text(_) => None,
+        },
+    }
 }
 
 /// Arithmetic kernel. Typed fast paths reproduce [`Value::arith`] branch for
@@ -423,20 +605,26 @@ fn cmp_batch(op: CompareOp, l: &ColumnArray, r: &ColumnArray) -> ColumnArray {
 /// yielding NULL), any other numeric pairing goes through `f64`, and
 /// anything involving text or mixed storage falls to `Value::arith` itself
 /// per cell — the authoritative implementation, so coercion semantics can
-/// never drift.
-fn arith_batch(op: ArithOp, l: &ColumnArray, r: &ColumnArray) -> SqlResult<ColumnArray> {
-    let n = l.len();
-    match (l, r) {
-        (ColumnArray::Int { values: a, nulls: na }, ColumnArray::Int { values: b, nulls: nb }) => {
+/// never drift. Two scalars make one scalar.
+fn arith_batch(
+    op: ArithOp,
+    l: &Operand<'_>,
+    r: &Operand<'_>,
+    n: usize,
+) -> SqlResult<Operand<'static>> {
+    if let (Operand::Scalar(a), Operand::Scalar(b)) = (l, r) {
+        return Ok(Operand::scalar(a.arith(op, b)?));
+    }
+    match (int_class(l), int_class(r)) {
+        (Some(true), Some(true)) => {
             let mut values = Vec::with_capacity(n);
             let mut nulls = NullBitmap::default();
             for i in 0..n {
-                if na.is_null(i) || nb.is_null(i) {
+                let (CellRef::Int(x), CellRef::Int(y)) = (l.cell(i), r.cell(i)) else {
                     values.push(0);
                     nulls.push(true);
                     continue;
-                }
-                let (x, y) = (a[i], b[i]);
+                };
                 let v = match op {
                     ArithOp::Add => Some(x.wrapping_add(y)),
                     ArithOp::Sub => Some(x.wrapping_sub(y)),
@@ -455,16 +643,13 @@ fn arith_batch(op: ArithOp, l: &ColumnArray, r: &ColumnArray) -> SqlResult<Colum
                     }
                 }
             }
-            Ok(ColumnArray::Int { values, nulls })
+            Ok(Operand::col(ColumnArray::Int { values, nulls }))
         }
-        (
-            ColumnArray::Int { .. } | ColumnArray::Real { .. },
-            ColumnArray::Int { .. } | ColumnArray::Real { .. },
-        ) => {
+        (Some(_), Some(_)) => {
             let mut values = Vec::with_capacity(n);
             let mut nulls = NullBitmap::default();
             for i in 0..n {
-                let (Some(x), Some(y)) = (cell_ref(l, i).as_f64(), cell_ref(r, i).as_f64()) else {
+                let (Some(x), Some(y)) = (l.cell(i).as_f64(), r.cell(i).as_f64()) else {
                     values.push(0.0);
                     nulls.push(true);
                     continue;
@@ -487,14 +672,14 @@ fn arith_batch(op: ArithOp, l: &ColumnArray, r: &ColumnArray) -> SqlResult<Colum
                     }
                 }
             }
-            Ok(ColumnArray::Real { values, nulls })
+            Ok(Operand::col(ColumnArray::Real { values, nulls }))
         }
         _ => {
             let mut b = ArrayBuilder::with_capacity(n);
             for i in 0..n {
-                b.push(&l.value_at(i).arith(op, &r.value_at(i))?);
+                b.push(&l.value_cow(i).arith(op, &r.value_cow(i))?);
             }
-            Ok(b.finish())
+            Ok(Operand::col(b.finish()))
         }
     }
 }
@@ -560,37 +745,36 @@ impl AggAcc {
         }
     }
 
-    /// Folds one chunk's argument column into the per-group state; `gids[i]`
-    /// is the group of the chunk's `i`-th row. Chunks arrive in scan order,
-    /// which the float sum (non-associative) relies on.
-    fn update(&mut self, col: &ColumnArray, gids: &[u32]) {
+    /// Folds one chunk's argument into the per-group state; `gids[i]` is the
+    /// group of the chunk's `i`-th row. Chunks arrive in scan order, which
+    /// the float sum (non-associative) relies on. A scalar argument takes
+    /// the per-cell loops.
+    fn update(&mut self, arg: &Operand<'_>, gids: &[u32]) {
+        let col = match arg {
+            Operand::Col(c) => Some(c.as_ref()),
+            Operand::Scalar(_) => None,
+        };
         match self {
             AggAcc::Count { counts } => match col {
-                ColumnArray::Int { nulls, .. }
-                | ColumnArray::Real { nulls, .. }
-                | ColumnArray::Text { nulls, .. } => {
-                    if nulls.any_null() {
-                        for (i, &g) in gids.iter().enumerate() {
-                            if !nulls.is_null(i) {
-                                counts[g as usize] += 1;
-                            }
-                        }
-                    } else {
-                        for &g in gids {
-                            counts[g as usize] += 1;
-                        }
+                Some(
+                    ColumnArray::Int { nulls, .. }
+                    | ColumnArray::Real { nulls, .. }
+                    | ColumnArray::Text { nulls, .. },
+                ) if !nulls.any_null() => {
+                    for &g in gids {
+                        counts[g as usize] += 1;
                     }
                 }
-                ColumnArray::Mixed { values } => {
+                _ => {
                     for (i, &g) in gids.iter().enumerate() {
-                        if !values[i].is_null() {
+                        if !arg.is_null(i) {
                             counts[g as usize] += 1;
                         }
                     }
                 }
             },
             AggAcc::Sum { counts, isum, fsum, all_int, .. } => match col {
-                ColumnArray::Int { values, nulls } => {
+                Some(ColumnArray::Int { values, nulls }) => {
                     if nulls.any_null() {
                         for (i, &g) in gids.iter().enumerate() {
                             if !nulls.is_null(i) {
@@ -609,7 +793,7 @@ impl AggAcc {
                         }
                     }
                 }
-                ColumnArray::Real { values, nulls } => {
+                Some(ColumnArray::Real { values, nulls }) => {
                     if nulls.any_null() {
                         for (i, &g) in gids.iter().enumerate() {
                             if !nulls.is_null(i) {
@@ -628,10 +812,11 @@ impl AggAcc {
                         }
                     }
                 }
-                // Text and mixed storage coerce per cell, like `sum_values`.
+                // Text, mixed storage and scalars coerce per cell, like
+                // `sum_values`.
                 _ => {
                     for (i, &g) in gids.iter().enumerate() {
-                        let v = col.value_at(i);
+                        let v = arg.value_cow(i);
                         if v.is_null() {
                             continue;
                         }
@@ -656,14 +841,14 @@ impl AggAcc {
             AggAcc::MinMax { max, best } => {
                 let mx = *max;
                 match col {
-                    ColumnArray::Int { values, nulls } => {
+                    Some(ColumnArray::Int { values, nulls }) => {
                         for (i, &g) in gids.iter().enumerate() {
                             if !nulls.is_null(i) {
                                 minmax_update(&mut best[g as usize], Value::Integer(values[i]), mx);
                             }
                         }
                     }
-                    ColumnArray::Real { values, nulls } => {
+                    Some(ColumnArray::Real { values, nulls }) => {
                         for (i, &g) in gids.iter().enumerate() {
                             if !nulls.is_null(i) {
                                 minmax_update(&mut best[g as usize], Value::Real(values[i]), mx);
@@ -672,8 +857,8 @@ impl AggAcc {
                     }
                     _ => {
                         for (i, &g) in gids.iter().enumerate() {
-                            if !col.is_null(i) {
-                                minmax_update(&mut best[g as usize], col.value_at(i), mx);
+                            if !arg.is_null(i) {
+                                minmax_update(&mut best[g as usize], arg.value_at(i), mx);
                             }
                         }
                     }
@@ -681,8 +866,8 @@ impl AggAcc {
             }
             AggAcc::Distinct { vals, .. } => {
                 for (i, &g) in gids.iter().enumerate() {
-                    if !col.is_null(i) {
-                        vals[g as usize].push(col.value_at(i));
+                    if !arg.is_null(i) {
+                        vals[g as usize].push(arg.value_at(i));
                     }
                 }
             }
@@ -736,18 +921,19 @@ impl<'a> Executor<'a> {
     /// returning `None` when the expression needs the row machinery (see
     /// [`is_batch_evaluable`], its static twin). A bare column reference is
     /// *borrowed* from the chunk (`Cow::Borrowed`) — the hottest case,
-    /// `SELECT`ed and filtered columns, never copies cell data. Each
-    /// successfully produced node counts `chunk.rows()` evaluations; unlike
-    /// the row path, `AND` / `OR` / `IN` / `CASE` evaluate all operand
-    /// columns eagerly — Kleene logic makes that value-identical, and which
-    /// *error* surfaces from a multi-error statement is sanctioned
+    /// `SELECT`ed and filtered columns, never copies cell data — and a
+    /// literal is borrowed from the statement as an [`Operand::Scalar`]. Each
+    /// successfully produced node counts `chunk.rows()` evaluations, scalar
+    /// or not; unlike the row path, `AND` / `OR` / `IN` / `CASE` evaluate all
+    /// operand columns eagerly — Kleene logic makes that value-identical,
+    /// and which *error* surfaces from a multi-error statement is sanctioned
     /// plan-dependent behavior.
     pub(crate) fn try_eval_batch<'c>(
         &mut self,
-        expr: &Expr,
+        expr: &'c Expr,
         chunk: &'c DataChunk,
         cols: &[ColInfo],
-    ) -> SqlResult<Option<Cow<'c, ColumnArray>>> {
+    ) -> SqlResult<Option<Operand<'c>>> {
         self.try_eval_batch_agg(expr, chunk, cols, None)
     }
 
@@ -758,11 +944,11 @@ impl<'a> Executor<'a> {
     /// and ORDER BY keys in [`Executor::columnar_grouped`].
     fn try_eval_batch_agg<'c>(
         &mut self,
-        expr: &Expr,
+        expr: &'c Expr,
         chunk: &'c DataChunk,
         cols: &[ColInfo],
         aggs: Option<&'c HashMap<usize, ColumnArray>>,
-    ) -> SqlResult<Option<Cow<'c, ColumnArray>>> {
+    ) -> SqlResult<Option<Operand<'c>>> {
         let n = chunk.rows();
         macro_rules! batch {
             ($e:expr) => {
@@ -772,29 +958,26 @@ impl<'a> Executor<'a> {
                 }
             };
         }
-        let col = match expr {
-            Expr::Literal(v) => broadcast(v, n),
+        let out = match expr {
+            Expr::Literal(v) => Operand::Scalar(Cow::Borrowed(v)),
             Expr::Column { table, column } => match resolve_batch_column(cols, table, column) {
-                Some(i) => {
-                    self.stats.evaluations += n as u64;
-                    return Ok(Some(Cow::Borrowed(&chunk.columns[i])));
-                }
+                Some(i) => Operand::Col(Cow::Borrowed(&chunk.columns[i])),
                 None => return Ok(None),
             },
             Expr::Compare { op, left, right } => {
                 let (l, r) = (batch!(left), batch!(right));
-                cmp_batch(*op, &l, &r)
+                cmp_batch(*op, &l, &r, n)
             }
             Expr::Arith { op, left, right } => {
                 let (l, r) = (batch!(left), batch!(right));
-                arith_batch(*op, &l, &r)?
+                arith_batch(*op, &l, &r, n)?
             }
             Expr::Concat { left, right } => {
                 let (l, r) = (batch!(left), batch!(right));
                 let mut values = Vec::with_capacity(n);
                 let mut nulls = NullBitmap::default();
                 for i in 0..n {
-                    match (cell_ref(&l, i), cell_ref(&r, i)) {
+                    match (l.cell(i), r.cell(i)) {
                         (CellRef::Null, _) | (_, CellRef::Null) => {
                             values.push(String::new());
                             nulls.push(true);
@@ -805,23 +988,23 @@ impl<'a> Executor<'a> {
                         }
                     }
                 }
-                ColumnArray::Text { values, nulls }
+                Operand::col(ColumnArray::Text { values, nulls })
             }
             Expr::And(a, b) => {
                 let (l, r) = (batch!(a), batch!(b));
-                truth_col(n, |i| cell_truth(cell_ref(&l, i)).and(cell_truth(cell_ref(&r, i))))
+                Operand::col(truth_col(n, |i| l.truth_at(i).and(r.truth_at(i))))
             }
             Expr::Or(a, b) => {
                 let (l, r) = (batch!(a), batch!(b));
-                truth_col(n, |i| cell_truth(cell_ref(&l, i)).or(cell_truth(cell_ref(&r, i))))
+                Operand::col(truth_col(n, |i| l.truth_at(i).or(r.truth_at(i))))
             }
             Expr::Not(e) => {
                 let c = batch!(e);
-                truth_col(n, |i| cell_truth(cell_ref(&c, i)).not())
+                Operand::col(truth_col(n, |i| c.truth_at(i).not()))
             }
-            Expr::Neg(e) => {
-                let c = batch!(e);
-                match c.as_ref() {
+            Expr::Neg(e) => match batch!(e) {
+                Operand::Scalar(v) => Operand::scalar(v.arith(ArithOp::Mul, &Value::Integer(-1))?),
+                Operand::Col(c) => Operand::col(match c.as_ref() {
                     ColumnArray::Int { values, nulls } => ColumnArray::Int {
                         values: values.iter().map(|v| v.wrapping_mul(-1)).collect(),
                         nulls: nulls.clone(),
@@ -837,20 +1020,15 @@ impl<'a> Executor<'a> {
                         }
                         b.finish()
                     }
-                }
-            }
+                }),
+            },
             Expr::Like { negated, expr, pattern } => {
                 let (v, p) = (batch!(expr), batch!(pattern));
-                truth_col(n, |i| match (cell_ref(&v, i), cell_ref(&p, i)) {
-                    (CellRef::Null, _) | (_, CellRef::Null) => Truth::Unknown,
-                    (a, b) => {
-                        Truth::from_bool(like_match(&cell_render(b), &cell_render(a)) != *negated)
-                    }
-                })
+                like_batch(&v, &p, *negated, n)
             }
             Expr::IsNull { negated, expr } => {
                 let c = batch!(expr);
-                truth_col(n, |i| Truth::from_bool(c.is_null(i) != *negated))
+                Operand::col(truth_col(n, |i| Truth::from_bool(c.is_null(i) != *negated)))
             }
             Expr::InList { negated, expr, list } => {
                 let v = batch!(expr);
@@ -858,22 +1036,24 @@ impl<'a> Executor<'a> {
                 for item in list {
                     items.push(batch!(item));
                 }
-                truth_col(n, |i| {
-                    let vc = cell_ref(&v, i);
+                let all_scalar = v.is_scalar() && items.iter().all(Operand::is_scalar);
+                truth_operand(all_scalar, n, |i| {
+                    let vc = v.cell(i);
                     if matches!(vc, CellRef::Null) {
                         return Truth::Unknown;
                     }
                     let found = items
                         .iter()
-                        .any(|it| matches!(cell_cmp(vc, cell_ref(it, i)), Some(o) if o.is_eq()));
+                        .any(|it| matches!(cell_cmp(vc, it.cell(i)), Some(o) if o.is_eq()));
                     Truth::from_bool(found != *negated)
                 })
             }
             Expr::Between { negated, expr, low, high } => {
                 let (v, lo, hi) = (batch!(expr), batch!(low), batch!(high));
-                truth_col(n, |i| {
-                    let vc = cell_ref(&v, i);
-                    match (cell_cmp(vc, cell_ref(&lo, i)), cell_cmp(vc, cell_ref(&hi, i))) {
+                let all_scalar = v.is_scalar() && lo.is_scalar() && hi.is_scalar();
+                truth_operand(all_scalar, n, |i| {
+                    let vc = v.cell(i);
+                    match (cell_cmp(vc, lo.cell(i)), cell_cmp(vc, hi.cell(i))) {
                         (Some(a), Some(b)) => {
                             Truth::from_bool((a.is_ge() && b.is_le()) != *negated)
                         }
@@ -887,10 +1067,7 @@ impl<'a> Executor<'a> {
             Expr::Aggregate { .. } => {
                 let Some(map) = aggs else { return Ok(None) };
                 match map.get(&(expr as *const Expr as usize)) {
-                    Some(col) => {
-                        self.stats.evaluations += n as u64;
-                        return Ok(Some(Cow::Borrowed(col)));
-                    }
+                    Some(col) => Operand::Col(Cow::Borrowed(col)),
                     None => return Ok(None),
                 }
             }
@@ -906,15 +1083,15 @@ impl<'a> Executor<'a> {
                     vals.extend(arg_cols.iter().map(|c| c.value_at(i)));
                     b.push(&eval_scalar_function(name, &vals)?);
                 }
-                b.finish()
+                Operand::col(b.finish())
             }
             Expr::Cast { expr, target } => {
                 let c = batch!(expr);
                 let mut b = ArrayBuilder::with_capacity(n);
                 for i in 0..n {
-                    b.push(&cast_value(&c.value_at(i), *target));
+                    b.push(&cast_value(&c.value_cow(i), *target));
                 }
-                b.finish()
+                Operand::col(b.finish())
             }
             Expr::Case { operand, branches, else_branch } => {
                 let op_col = match operand {
@@ -931,33 +1108,23 @@ impl<'a> Executor<'a> {
                 };
                 let mut b = ArrayBuilder::with_capacity(n);
                 for i in 0..n {
-                    let mut pushed = false;
-                    for (wc, tc) in &branch_cols {
-                        let hit = match &op_col {
-                            Some(oc) => matches!(
-                                cell_cmp(cell_ref(oc, i), cell_ref(wc, i)),
-                                Some(o) if o.is_eq()
-                            ),
-                            None => cell_truth(cell_ref(wc, i)).is_true(),
-                        };
-                        if hit {
-                            b.push_from(tc, i);
-                            pushed = true;
-                            break;
+                    let hit = branch_cols.iter().find(|(wc, _)| match &op_col {
+                        Some(oc) => {
+                            matches!(cell_cmp(oc.cell(i), wc.cell(i)), Some(o) if o.is_eq())
                         }
-                    }
-                    if !pushed {
-                        match &else_col {
-                            Some(ec) => b.push_from(ec, i),
-                            None => b.push_null(),
-                        }
+                        None => wc.truth_at(i).is_true(),
+                    });
+                    match (hit, &else_col) {
+                        (Some((_, tc)), _) => tc.push_to(&mut b, i),
+                        (None, Some(ec)) => ec.push_to(&mut b, i),
+                        (None, None) => b.push_null(),
                     }
                 }
-                b.finish()
+                Operand::col(b.finish())
             }
         };
         self.stats.evaluations += n as u64;
-        Ok(Some(Cow::Owned(col)))
+        Ok(Some(out))
     }
 
     /// Applies one predicate to every chunk by *refining its selection
@@ -987,7 +1154,15 @@ impl<'a> Executor<'a> {
             let chunk = Arc::clone(sc.shared());
             let col = if batch_ok { self.try_eval_batch(pred, &chunk, cols)? } else { None };
             match col {
-                Some(c) => sc.refine(|i| c.truth_at(i).is_true()),
+                // A truth column (every predicate kernel's output) is read
+                // as its typed values.
+                Some(Operand::Col(c)) => match c.as_ref() {
+                    ColumnArray::Int { values, nulls } => {
+                        sc.refine(|i| values[i] != 0 && !nulls.is_null(i))
+                    }
+                    other => sc.refine(|i| other.truth_at(i).is_true()),
+                },
+                Some(scalar) => sc.refine(|_| scalar.truth_at(0).is_true()),
                 None => {
                     let mut kept: Vec<u32> = Vec::with_capacity(sc.live_rows());
                     for i in sc.live_iter() {
@@ -1343,6 +1518,14 @@ impl<'a> Executor<'a> {
     /// express (subqueries, outer references) bridge to the row machinery
     /// per *expression*, evaluated over live rows only — one row-path
     /// projection no longer forfeits batch evaluation of its neighbors.
+    ///
+    /// DISTINCT probes a [`GroupKeyMap`] with the projected cells in place,
+    /// so a duplicate row is never materialized and the map's keys are the
+    /// output. Without ORDER BY, rows past `OFFSET + LIMIT` can never be
+    /// observed: once that many are kept, later rows are neither
+    /// materialized nor hashed. Every chunk's projections are still
+    /// evaluated, so `evaluations` and any row-bridged error are those of a
+    /// full pass.
     fn columnar_ungrouped(
         &mut self,
         stmt: &SelectStatement,
@@ -1382,99 +1565,61 @@ impl<'a> Executor<'a> {
             }
             order_batch.push(ok);
         }
-
-        /// One projected column of one chunk: batch results index *physical*
-        /// rows, row-bridged results hold one value per *live* row.
-        enum PCol<'c> {
-            Batch(Cow<'c, ColumnArray>),
-            Rows(Vec<Value>),
-        }
+        let keep_at_most = match (stmt.order_by.is_empty(), stmt.limit) {
+            (true, Some(limit)) => {
+                let end = stmt.offset.unwrap_or(0).saturating_add(limit);
+                usize::try_from(end).unwrap_or(usize::MAX)
+            }
+            _ => usize::MAX,
+        };
 
         let n_order = stmt.order_by.len();
         let mut out_rows: Vec<Vec<Value>> = Vec::new();
-        // Sort-key values for expression-sourced ORDER BY items, flattened
-        // across chunks in live-row order.
+        let mut seen = GroupKeyMap::default();
+        // Sort-key values for expression-sourced ORDER BY items, one per
+        // kept row.
         let mut key_vals: Vec<Vec<Value>> = vec![Vec::new(); n_order];
-        let mut rowbuf: Vec<Value> = Vec::new();
         for sc in chunks {
             if sc.live_rows() == 0 {
                 continue;
             }
-            let chunk = sc.chunk();
-            let mut pcols: Vec<PCol<'_>> = Vec::with_capacity(proj_exprs.len());
+            let mut pcols: Vec<LiveCol<'_>> = Vec::with_capacity(proj_exprs.len());
             for (e, ok) in proj_exprs.iter().zip(&proj_batch) {
-                let col = if *ok { self.try_eval_batch(e, chunk, cols)? } else { None };
-                match col {
-                    Some(c) => pcols.push(PCol::Batch(c)),
-                    None => {
-                        let mut vals = Vec::with_capacity(sc.live_rows());
-                        for i in sc.live_iter() {
-                            chunk.read_row_into(i, &mut rowbuf);
-                            let scope = Scope { cols, row: &rowbuf, parent: outer };
-                            vals.push(self.eval(e, &scope, None)?);
-                        }
-                        pcols.push(PCol::Rows(vals));
-                    }
-                }
+                pcols.push(self.eval_live_col(e, *ok, sc, cols, outer)?);
             }
+            let mut kcols: Vec<Option<LiveCol<'_>>> = Vec::with_capacity(n_order);
             for (k, item) in stmt.order_by.iter().enumerate() {
-                if order_srcs[k].is_some() {
-                    continue;
-                }
-                let col = if order_batch[k] {
-                    self.try_eval_batch(&item.expr, chunk, cols)?
-                } else {
-                    None
-                };
-                match col {
-                    Some(c) => {
-                        for i in sc.live_iter() {
-                            key_vals[k].push(c.value_at(i));
-                        }
-                    }
+                kcols.push(match order_srcs[k] {
+                    Some(_) => None,
                     None => {
-                        for i in sc.live_iter() {
-                            chunk.read_row_into(i, &mut rowbuf);
-                            let scope = Scope { cols, row: &rowbuf, parent: outer };
-                            key_vals[k].push(self.eval(&item.expr, &scope, None)?);
-                        }
+                        Some(self.eval_live_col(&item.expr, order_batch[k], sc, cols, outer)?)
+                    }
+                });
+            }
+            let live = sc.live_rows();
+            if stmt.distinct {
+                let mut cells: Vec<CellRef<'_>> = Vec::with_capacity(pcols.len());
+                for k in 0..live {
+                    if seen.len() >= keep_at_most {
+                        break;
+                    }
+                    let phys = sc.live(k);
+                    cells.clear();
+                    cells.extend(pcols.iter().map(|c| c.cell(k, phys)));
+                    if seen.get_or_insert_cells(&cells).1 {
+                        take_keys(&mut key_vals, &mut kcols, k, phys);
                     }
                 }
-            }
-            for k in 0..sc.live_rows() {
-                let phys = sc.live(k);
-                // Borrowed (pass-through) columns clone the cell; owned
-                // (computed) columns surrender it without a copy.
-                out_rows.push(
-                    pcols
-                        .iter_mut()
-                        .map(|c| match c {
-                            PCol::Batch(Cow::Borrowed(b)) => b.value_at(phys),
-                            PCol::Batch(Cow::Owned(o)) => o.take_at(phys),
-                            PCol::Rows(vals) => std::mem::replace(&mut vals[k], Value::Null),
-                        })
-                        .collect(),
-                );
+            } else {
+                for k in 0..live.min(keep_at_most.saturating_sub(out_rows.len())) {
+                    let phys = sc.live(k);
+                    out_rows.push(pcols.iter_mut().map(|c| c.take(k, phys)).collect());
+                    take_keys(&mut key_vals, &mut kcols, k, phys);
+                }
             }
         }
-
-        // DISTINCT — hashed first-seen dedup, same as the row tail.
         if stmt.distinct {
-            let mut seen = GroupKeyMap::default();
-            let mut kept_rows = Vec::new();
-            let mut kept_keys: Vec<Vec<Value>> = vec![Vec::new(); n_order];
-            for (i, row) in out_rows.into_iter().enumerate() {
-                if seen.insert_if_new(&row) {
-                    for k in 0..n_order {
-                        if order_srcs[k].is_none() {
-                            kept_keys[k].push(std::mem::replace(&mut key_vals[k][i], Value::Null));
-                        }
-                    }
-                    kept_rows.push(row);
-                }
-            }
-            out_rows = kept_rows;
-            key_vals = kept_keys;
+            out_rows = seen.into_keys();
         }
 
         if !stmt.order_by.is_empty() {
@@ -1486,7 +1631,7 @@ impl<'a> Executor<'a> {
                         .map(|(k, item)| {
                             let v = match order_srcs[k] {
                                 Some(p) => out_rows[i][p].clone(),
-                                None => key_vals[k][i].clone(),
+                                None => std::mem::replace(&mut key_vals[k][i], Value::Null),
                             };
                             (v, item.descending)
                         })
@@ -1498,6 +1643,33 @@ impl<'a> Executor<'a> {
 
         apply_limit_offset(stmt, &mut out_rows);
         Ok(ResultSet { columns: headers, rows: out_rows })
+    }
+
+    /// Evaluates one projection or ORDER BY key over a chunk: batch kernels
+    /// over every physical row when `batch_ok`, else the row machinery over
+    /// the live rows only.
+    fn eval_live_col<'c>(
+        &mut self,
+        expr: &'c Expr,
+        batch_ok: bool,
+        sc: &'c SelChunk,
+        cols: &[ColInfo],
+        outer: Option<&Scope<'_>>,
+    ) -> SqlResult<LiveCol<'c>> {
+        let chunk = sc.chunk();
+        if batch_ok {
+            if let Some(op) = self.try_eval_batch(expr, chunk, cols)? {
+                return Ok(LiveCol::Batch(op));
+            }
+        }
+        let mut vals = Vec::with_capacity(sc.live_rows());
+        let mut rowbuf: Vec<Value> = Vec::new();
+        for i in sc.live_iter() {
+            chunk.read_row_into(i, &mut rowbuf);
+            let scope = Scope { cols, row: &rowbuf, parent: outer };
+            vals.push(self.eval(expr, &scope, None)?);
+        }
+        Ok(LiveCol::Rows(vals))
     }
 
     /// Vectorized grouped pipeline, in five batch passes over dense
@@ -1563,22 +1735,21 @@ impl<'a> Executor<'a> {
                 key_batch.push(ok);
             }
             let mut map = GroupKeyMap::default();
-            let mut key = Vec::with_capacity(stmt.group_by.len());
             for (ci, chunk) in chunks.iter().enumerate() {
-                let mut key_cols: Vec<Cow<'_, ColumnArray>> =
-                    Vec::with_capacity(stmt.group_by.len());
+                let mut key_cols: Vec<Operand<'_>> = Vec::with_capacity(stmt.group_by.len());
                 for (g, ok) in stmt.group_by.iter().zip(&key_batch) {
                     let col = if *ok { self.try_eval_batch(g, chunk, cols)? } else { None };
                     match col {
                         Some(c) => key_cols.push(c),
                         None => key_cols
-                            .push(Cow::Owned(self.eval_rows_to_column(g, chunk, cols, outer)?)),
+                            .push(Operand::col(self.eval_rows_to_column(g, chunk, cols, outer)?)),
                     }
                 }
+                let mut key: Vec<CellRef<'_>> = Vec::with_capacity(key_cols.len());
                 for i in 0..chunk.rows() {
                     key.clear();
-                    key.extend(key_cols.iter().map(|c| c.value_at(i)));
-                    let (gid, new) = map.get_or_insert(&key);
+                    key.extend(key_cols.iter().map(|c| c.cell(i)));
+                    let (gid, new) = map.get_or_insert_cells(&key);
                     if new {
                         group_sizes.push(0);
                         group_first.push(offsets[ci] + i);
@@ -1631,7 +1802,7 @@ impl<'a> Executor<'a> {
                         let col = if arg_ok { self.try_eval_batch(e, chunk, cols)? } else { None };
                         let col = match col {
                             Some(c) => c,
-                            None => Cow::Owned(self.eval_rows_to_column(e, chunk, cols, outer)?),
+                            None => Operand::col(self.eval_rows_to_column(e, chunk, cols, outer)?),
                         };
                         acc.update(&col, &gids[offsets[ci]..offsets[ci] + chunk.rows()]);
                     }
@@ -1675,33 +1846,25 @@ impl<'a> Executor<'a> {
                 *k = hcol.truth_at(g).is_true();
             }
         }
-        let mut pcols: Vec<ColumnArray> = Vec::with_capacity(proj_exprs.len());
+        let mut pcols: Vec<Operand<'static>> = Vec::with_capacity(proj_exprs.len());
         for e in &proj_exprs {
             pcols.push(self.eval_group_column(e, &rep, cols, &agg_results, Some(&keep), outer)?);
         }
-        let mut out_rows: Vec<Vec<Value>> = Vec::new();
-        let mut kept_gs: Vec<usize> = Vec::new();
-        for (g, kept) in keep.iter().enumerate() {
-            if *kept {
-                out_rows.push(pcols.iter_mut().map(|c| c.take_at(g)).collect());
-                kept_gs.push(g);
-            }
-        }
 
-        // --- Pass 5: DISTINCT / ORDER BY / LIMIT.
+        // --- Pass 5: DISTINCT / ORDER BY / LIMIT. DISTINCT probes the
+        // projected cells in place, so only first-seen groups become rows.
+        let mut kept_gs: Vec<usize> = (0..n_groups).filter(|&g| keep[g]).collect();
         if stmt.distinct {
             let mut seen = GroupKeyMap::default();
-            let mut kept_rows = Vec::new();
-            let mut kept2 = Vec::new();
-            for (row, g) in out_rows.into_iter().zip(kept_gs.iter().copied()) {
-                if seen.insert_if_new(&row) {
-                    kept_rows.push(row);
-                    kept2.push(g);
-                }
-            }
-            out_rows = kept_rows;
-            kept_gs = kept2;
+            let mut cells: Vec<CellRef<'_>> = Vec::with_capacity(pcols.len());
+            kept_gs.retain(|&g| {
+                cells.clear();
+                cells.extend(pcols.iter().map(|c| c.cell(g)));
+                seen.get_or_insert_cells(&cells).1
+            });
         }
+        let mut out_rows: Vec<Vec<Value>> =
+            kept_gs.iter().map(|&g| pcols.iter_mut().map(|c| c.take_at(g)).collect()).collect();
 
         if !stmt.order_by.is_empty() {
             let order_srcs: Vec<Option<usize>> = stmt
@@ -1723,7 +1886,8 @@ impl<'a> Executor<'a> {
             for &g in &kept_gs {
                 final_keep[g] = true;
             }
-            let mut key_cols: Vec<Option<ColumnArray>> = Vec::with_capacity(stmt.order_by.len());
+            let mut key_cols: Vec<Option<Operand<'static>>> =
+                Vec::with_capacity(stmt.order_by.len());
             for (item, src) in stmt.order_by.iter().zip(&order_srcs) {
                 key_cols.push(match src {
                     Some(_) => None,
@@ -1798,7 +1962,7 @@ impl<'a> Executor<'a> {
         aggs: &HashMap<usize, ColumnArray>,
         keep: Option<&[bool]>,
         outer: Option<&Scope<'_>>,
-    ) -> SqlResult<ColumnArray> {
+    ) -> SqlResult<Operand<'static>> {
         if is_group_batch_evaluable(expr, cols) {
             if let Some(c) = self.try_eval_batch_agg(expr, rep, cols, Some(aggs))? {
                 return Ok(c.into_owned());
@@ -1823,7 +1987,7 @@ impl<'a> Executor<'a> {
             self.agg_overrides = saved;
             b.push(&r?);
         }
-        Ok(b.finish())
+        Ok(Operand::col(b.finish()))
     }
 }
 
@@ -1889,7 +2053,7 @@ mod tests {
         ]
     }
 
-    /// One-value column preserving the value's storage class, so `cell_ref`
+    /// One-value column preserving the value's storage class, so `cell`
     /// is exercised through real column storage.
     fn single(v: &Value) -> ColumnArray {
         ColumnArray::from_values(std::slice::from_ref(v))
@@ -1903,7 +2067,7 @@ mod tests {
                 let ca = single(a);
                 let cb = single(b);
                 assert_eq!(
-                    cell_cmp(cell_ref(&ca, 0), cell_ref(&cb, 0)),
+                    cell_cmp(ca.cell(0), cb.cell(0)),
                     a.sql_cmp(b),
                     "cell_cmp({a:?}, {b:?})"
                 );
@@ -1922,7 +2086,7 @@ mod tests {
         for (i, a) in vals.iter().enumerate() {
             for (j, b) in vals.iter().enumerate() {
                 assert_eq!(
-                    cell_cmp(cell_ref(&mixed, i), cell_ref(&mixed, j)),
+                    cell_cmp(mixed.cell(i), mixed.cell(j)),
                     a.sql_cmp(b),
                     "mixed cell_cmp({a:?}, {b:?})"
                 );
@@ -1934,39 +2098,113 @@ mod tests {
     fn cell_truth_and_render_match_value_semantics() {
         for v in grid() {
             let col = single(&v);
-            assert_eq!(cell_truth(cell_ref(&col, 0)), v.to_truth(), "truth of {v:?}");
-            assert_eq!(cell_render(cell_ref(&col, 0)), v.render(), "render of {v:?}");
+            assert_eq!(col.cell(0).truth(), v.to_truth(), "truth of {v:?}");
+            assert_eq!(cell_render(col.cell(0)), v.render(), "render of {v:?}");
         }
     }
 
-    #[test]
-    fn arith_batch_matches_value_arith_per_cell() {
+    /// Every (left, right) pairing of the grid, as two gathered columns.
+    fn grid_pairs() -> (Vec<Value>, Vec<usize>, Vec<usize>, ColumnArray, ColumnArray) {
         let vals = grid();
         let n = vals.len();
-        // Pair every value with every other via two gathered columns.
         let base = ColumnArray::from_values(&vals);
         let left_idx: Vec<usize> = (0..n).flat_map(|i| std::iter::repeat_n(i, n)).collect();
         let right_idx: Vec<usize> = (0..n).cycle().take(n * n).collect();
         let l = base.gather(&left_idx);
         let r = base.gather(&right_idx);
+        (vals, left_idx, right_idx, l, r)
+    }
+
+    /// The operand forms one grid pairing can take: column/column, and each
+    /// side as a scalar (checked against row `k`'s cell of the other side).
+    fn operand_forms<'a>(
+        vals: &'a [Value],
+        li: usize,
+        ri: usize,
+        l: &'a ColumnArray,
+        r: &'a ColumnArray,
+    ) -> [(Operand<'a>, Operand<'a>); 3] {
+        [
+            (Operand::Col(Cow::Borrowed(l)), Operand::Col(Cow::Borrowed(r))),
+            (Operand::Scalar(Cow::Borrowed(&vals[li])), Operand::Col(Cow::Borrowed(r))),
+            (Operand::Col(Cow::Borrowed(l)), Operand::Scalar(Cow::Borrowed(&vals[ri]))),
+        ]
+    }
+
+    fn same_value(got: &Value, want: &Value) -> bool {
+        std::mem::discriminant(got) == std::mem::discriminant(want)
+            && (got.grouping_eq(want) || (got.is_null() && want.is_null()))
+    }
+
+    #[test]
+    fn arith_batch_matches_value_arith_per_cell() {
+        let (vals, left_idx, right_idx, l, r) = grid_pairs();
+        let rows = left_idx.len();
         for op in [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div, ArithOp::Mod] {
-            let out = arith_batch(op, &l, &r).unwrap();
-            for k in 0..n * n {
-                let expect = vals[left_idx[k]].arith(op, &vals[right_idx[k]]).unwrap();
-                let got = out.value_at(k);
-                assert_eq!(
-                    std::mem::discriminant(&got),
-                    std::mem::discriminant(&expect),
-                    "{op:?} class on {:?} vs {:?}",
-                    vals[left_idx[k]],
-                    vals[right_idx[k]],
+            for k in 0..rows {
+                let (li, ri) = (left_idx[k], right_idx[k]);
+                let expect = vals[li].arith(op, &vals[ri]).unwrap();
+                for (a, b) in operand_forms(&vals, li, ri, &l, &r) {
+                    let got = arith_batch(op, &a, &b, rows).unwrap().value_at(k);
+                    assert!(
+                        same_value(&got, &expect),
+                        "{op:?} on {:?} vs {:?} ({a:?}): got {got:?}, want {expect:?}",
+                        vals[li],
+                        vals[ri],
+                    );
+                }
+                let scalars = (
+                    Operand::Scalar(Cow::Borrowed(&vals[li])),
+                    Operand::Scalar(Cow::Borrowed(&vals[ri])),
                 );
-                assert!(
-                    got.grouping_eq(&expect) || (got.is_null() && expect.is_null()),
-                    "{op:?} on {:?} vs {:?}: got {got:?}, want {expect:?}",
-                    vals[left_idx[k]],
-                    vals[right_idx[k]],
-                );
+                let got = arith_batch(op, &scalars.0, &scalars.1, rows).unwrap();
+                assert!(got.is_scalar());
+                assert!(same_value(&got.value_at(k), &expect), "{op:?} over two scalars");
+            }
+        }
+    }
+
+    /// Typed column-vs-scalar compare loops reproduce `sql_cmp` for every
+    /// grid pairing, in both orientations and for every operator — numeric
+    /// text (`'2'`, `'nan'`, `'-inf'`) against number columns included.
+    #[test]
+    fn cmp_batch_scalar_operands_match_sql_cmp() {
+        let (vals, left_idx, right_idx, l, r) = grid_pairs();
+        let rows = left_idx.len();
+        let ops = [
+            CompareOp::Eq,
+            CompareOp::NotEq,
+            CompareOp::Lt,
+            CompareOp::LtEq,
+            CompareOp::Gt,
+            CompareOp::GtEq,
+        ];
+        for op in ops {
+            let by_col = cmp_batch(
+                op,
+                &Operand::Col(Cow::Borrowed(&l)),
+                &Operand::Col(Cow::Borrowed(&r)),
+                rows,
+            );
+            for k in 0..rows {
+                let (li, ri) = (left_idx[k], right_idx[k]);
+                let expect = cmp_truth(op, vals[li].sql_cmp(&vals[ri])).to_value();
+                let [_, (sa, cb), (ca, sb)] = operand_forms(&vals, li, ri, &l, &r);
+                let both = cmp_batch(op, &sa, &sb, rows);
+                assert!(both.is_scalar());
+                for (form, got) in [
+                    ("col/col", by_col.value_at(k)),
+                    ("scalar/col", cmp_batch(op, &sa, &cb, rows).value_at(k)),
+                    ("col/scalar", cmp_batch(op, &ca, &sb, rows).value_at(k)),
+                    ("scalar/scalar", both.value_at(k)),
+                ] {
+                    assert!(
+                        same_value(&got, &expect),
+                        "{op:?} {form} on {:?} vs {:?}: got {got:?}, want {expect:?}",
+                        vals[li],
+                        vals[ri],
+                    );
+                }
             }
         }
     }
@@ -1987,24 +2225,94 @@ mod tests {
             Value::text("1.5"),
             Value::text("2"),
         ]);
-        let eq = cmp_batch(CompareOp::Eq, &l, &r);
+        let (l, r) = (Operand::Col(Cow::Borrowed(&l)), Operand::Col(Cow::Borrowed(&r)));
+        let eq = cmp_batch(CompareOp::Eq, &l, &r, 4);
         assert_eq!(eq.value_at(0), Value::Integer(1));
         assert_eq!(eq.value_at(1), Value::Integer(0));
         assert_eq!(eq.value_at(2), Value::Integer(0));
         assert!(eq.is_null(3));
-        let gt = cmp_batch(CompareOp::Gt, &l, &r);
+        let gt = cmp_batch(CompareOp::Gt, &l, &r, 4);
         assert_eq!(gt.value_at(1), Value::Integer(0)); // text sorts after numbers
         assert_eq!(gt.value_at(2), Value::Integer(1));
     }
 
+    /// A scalar operand reads, row for row, exactly like a column holding
+    /// its value in every row — the contract that lets a literal stay one
+    /// cell instead of being expanded per row.
     #[test]
-    fn broadcast_covers_every_class() {
-        for v in [Value::Null, Value::Integer(7), Value::Real(0.5), Value::text("x")] {
-            let col = broadcast(&v, 3);
-            assert_eq!(col.len(), 3);
+    fn scalar_operand_reads_like_a_constant_column() {
+        for v in grid() {
+            let column = ColumnArray::from_values(&[v.clone(), v.clone(), v.clone()]);
+            let mut col = Operand::Col(Cow::Borrowed(&column));
+            let mut scalar = Operand::Scalar(Cow::Borrowed(&v));
             for i in 0..3 {
-                assert_eq!(col.value_at(i), v.clone());
-                assert_eq!(col.is_null(i), v.is_null());
+                assert!(same_value(&scalar.value_at(i), &col.value_at(i)), "{v:?}");
+                assert_eq!(scalar.is_null(i), col.is_null(i));
+                assert_eq!(scalar.truth_at(i), col.truth_at(i));
+                assert_eq!(
+                    cell_cmp(scalar.cell(i), col.cell(i)),
+                    v.sql_cmp(&v),
+                    "{v:?} against itself"
+                );
+                assert!(same_value(&scalar.take_at(i), &col.take_at(i)));
+            }
+            let (mut a, mut b) = (ArrayBuilder::new(), ArrayBuilder::new());
+            scalar.push_to(&mut a, 0);
+            col.push_to(&mut b, 0);
+            assert!(same_value(&a.finish().value_at(0), &b.finish().value_at(0)));
+        }
+    }
+
+    /// `LIKE` over scalar and column operands matches the row path's
+    /// `like_match` on rendered cells, NULLs included.
+    #[test]
+    fn like_batch_matches_the_row_path() {
+        let texts = [
+            Value::text("Fremont Unified"),
+            Value::text("fremont"),
+            Value::Integer(12),
+            Value::Real(2.5),
+            Value::Null,
+            Value::text(""),
+        ];
+        let patterns =
+            [Value::text("%fremont%"), Value::text("1_"), Value::text("%.5"), Value::Null];
+        let tcol = ColumnArray::from_values(&texts);
+        for negated in [false, true] {
+            for p in &patterns {
+                let pcol = ColumnArray::from_values(&vec![p.clone(); texts.len()]);
+                let forms = [
+                    like_batch(
+                        &Operand::Col(Cow::Borrowed(&tcol)),
+                        &Operand::Scalar(Cow::Borrowed(p)),
+                        negated,
+                        texts.len(),
+                    ),
+                    like_batch(
+                        &Operand::Col(Cow::Borrowed(&tcol)),
+                        &Operand::Col(Cow::Borrowed(&pcol)),
+                        negated,
+                        texts.len(),
+                    ),
+                ];
+                for (i, t) in texts.iter().enumerate() {
+                    let want = if t.is_null() || p.is_null() {
+                        Value::Null
+                    } else {
+                        Value::from_bool(like_match(&p.render(), &t.render()) != negated)
+                    };
+                    for got in &forms {
+                        assert!(same_value(&got.value_at(i), &want), "{t:?} LIKE {p:?}");
+                    }
+                    let scalar = like_batch(
+                        &Operand::Scalar(Cow::Borrowed(t)),
+                        &Operand::Scalar(Cow::Borrowed(p)),
+                        negated,
+                        1,
+                    );
+                    assert!(scalar.is_scalar());
+                    assert!(same_value(&scalar.value_at(0), &want), "{t:?} LIKE {p:?}");
+                }
             }
         }
     }

@@ -148,4 +148,4 @@ pub use storage::{
     ColumnSample, Database, EqKeyMap, GroupKeyMap, ProbeHits, Row, SampledValue, Table,
     ValueSample, VALUE_SAMPLE_SIZE,
 };
-pub use value::{like_match, ArithOp, Truth, Value};
+pub use value::{like_match, ArithOp, LikePattern, Truth, Value};

@@ -2,13 +2,14 @@
 //! physical planner uses for primary-key point lookups and hash joins.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
 use crate::chunk::{chunk_rows, DataChunk, BATCH_SIZE};
 use crate::error::{SqlError, SqlResult};
 use crate::schema::{DataType, DatabaseSchema, TableSchema};
-use crate::value::Value;
+use crate::value::{CellRef, Value};
 
 /// Row positions returned by a hash probe.
 ///
@@ -327,6 +328,41 @@ impl EqKeyMap {
     }
 }
 
+/// A grouping key [`GroupKeyMap`] can probe with: a row of owned values, or
+/// a row of cells borrowed from batch columns.
+trait GroupKey {
+    /// Number of components.
+    fn width(&self) -> usize;
+    /// Component `i`, borrowed.
+    fn cell(&self, i: usize) -> CellRef<'_>;
+    /// The key as owned values, for storing a new group.
+    fn to_values(&self) -> Vec<Value>;
+}
+
+impl GroupKey for [Value] {
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn cell(&self, i: usize) -> CellRef<'_> {
+        CellRef::from(&self[i])
+    }
+    fn to_values(&self) -> Vec<Value> {
+        self.to_vec()
+    }
+}
+
+impl GroupKey for [CellRef<'_>] {
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn cell(&self, i: usize) -> CellRef<'_> {
+        self[i]
+    }
+    fn to_values(&self) -> Vec<Value> {
+        self.iter().map(|c| c.to_value()).collect()
+    }
+}
+
 /// Hashes a grouping key component-wise into a normalized `u64`, or `None`
 /// when the key cannot be hashed (a NaN component: under `total_cmp`'s
 /// `partial_cmp` fallback NaN compares equal to *every* number, which breaks
@@ -338,25 +374,25 @@ impl EqKeyMap {
 /// non-NaN value: NULL groups with NULL, integers and reals compare
 /// numerically (`-0.0` folded into `0.0`, so `2` groups with `2.0`), text
 /// compares byte-exact, and ranks never cross. Components are hashed
-/// directly off the borrowed values — no per-probe allocation; grouping-equal
+/// directly off the borrowed cells — no per-probe allocation; grouping-equal
 /// keys hash identically, and collisions between different keys are resolved
 /// by the bucket's candidate list.
-fn group_key_hash(key: &[Value]) -> Option<u64> {
-    use std::hash::{Hash, Hasher};
+fn group_key_hash<K: GroupKey + ?Sized>(key: &K) -> Option<u64> {
+    use std::hash::Hash;
     let mut h = std::collections::hash_map::DefaultHasher::new();
-    for v in key {
-        match v {
-            Value::Null => h.write_u8(0),
-            Value::Integer(i) => {
+    for k in 0..key.width() {
+        match key.cell(k) {
+            CellRef::Null => h.write_u8(0),
+            CellRef::Int(i) => {
                 h.write_u8(1);
-                h.write_u64(num_key_bits(*i as f64));
+                h.write_u64(num_key_bits(i as f64));
             }
-            Value::Real(r) if r.is_nan() => return None,
-            Value::Real(r) => {
+            CellRef::Real(r) if r.is_nan() => return None,
+            CellRef::Real(r) => {
                 h.write_u8(1);
-                h.write_u64(num_key_bits(*r));
+                h.write_u64(num_key_bits(r));
             }
-            Value::Text(s) => {
+            CellRef::Text(s) => {
                 h.write_u8(2);
                 s.hash(&mut h);
             }
@@ -365,9 +401,28 @@ fn group_key_hash(key: &[Value]) -> Option<u64> {
     Some(h.finish())
 }
 
-/// True when two keys are component-wise [`Value::grouping_eq`].
-fn group_keys_eq(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.grouping_eq(y))
+/// True when a stored key and a probe key are component-wise
+/// [`Value::grouping_eq`].
+fn group_keys_eq<K: GroupKey + ?Sized>(stored: &[Value], key: &K) -> bool {
+    stored.len() == key.width()
+        && stored.iter().enumerate().all(|(i, v)| CellRef::from(v).total_cmp(key.cell(i)).is_eq())
+}
+
+/// A [`Hasher`] for keys that are already 64-bit hashes: it passes the
+/// value through instead of hashing it a second time.
+#[derive(Debug, Clone, Copy, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PreHashed only hashes u64 keys")
+    }
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
 }
 
 /// A map from multi-column grouping keys to dense group ids, with the exact
@@ -376,16 +431,19 @@ fn group_keys_eq(a: &[Value], b: &[Value]) -> bool {
 ///
 /// Keys are hashed component-wise into buckets of candidate group ids,
 /// confirmed by a component-wise `grouping_eq` check — probing is
-/// allocation-free. NaN components cannot be hashed (NaN groups with every
-/// number under `total_cmp`), so NaN-containing keys live on a linear side
-/// list and NaN probes fall back to a scan in group order — empty for real
-/// corpora, so the hash path stays O(1). When a probe matches both a hashed
-/// group and a NaN side group, the *earliest-inserted* group wins, which is
-/// precisely what the linear reference returns.
+/// allocation-free, whether the key is a row of values or a row of cells
+/// borrowed from batch columns (`GroupKeyMap::get_or_insert_cells`); only
+/// a new group's key is copied. NaN components cannot be hashed (NaN groups
+/// with every number under `total_cmp`), so NaN-containing keys live on a
+/// linear side list and NaN probes fall back to a scan in group order —
+/// empty for real corpora, so the hash path stays O(1). When a probe matches
+/// both a hashed group and a NaN side group, the *earliest-inserted* group
+/// wins, which is precisely what the linear reference returns.
 #[derive(Debug, Clone, Default)]
 pub struct GroupKeyMap {
     /// Key hash to candidate group ids (insertion order; almost always one).
-    exact: HashMap<u64, Vec<usize>>,
+    /// The keys are already hashes, so the map uses them as they are.
+    exact: HashMap<u64, Vec<usize>, BuildHasherDefault<PreHashed>>,
     /// Ids of groups whose key contains a NaN, in insertion order.
     fuzzy: Vec<usize>,
     /// Every group's key, by id (also the NaN-probe fallback scan list).
@@ -408,6 +466,11 @@ impl GroupKeyMap {
         &self.keys
     }
 
+    /// Every group's key, indexed by group id, by value.
+    pub fn into_keys(self) -> Vec<Vec<Value>> {
+        self.keys
+    }
+
     /// Read-only probe: the id of the group `key` belongs to, or `None` when
     /// no grouping-equal key has been inserted. Takes `&self`, so any number
     /// of threads may probe one frozen map concurrently (e.g. shared
@@ -415,6 +478,10 @@ impl GroupKeyMap {
     /// to [`GroupKeyMap::get_or_insert`]. Semantics match the mutating probe
     /// exactly, including the NaN side paths.
     pub fn lookup(&self, key: &[Value]) -> Option<usize> {
+        self.lookup_key(key)
+    }
+
+    fn lookup_key<K: GroupKey + ?Sized>(&self, key: &K) -> Option<usize> {
         match group_key_hash(key) {
             Some(hash) => {
                 let exact_hit = self.exact.get(&hash).and_then(|bucket| {
@@ -449,7 +516,19 @@ impl GroupKeyMap {
     /// group was newly created. Ids are dense and assigned in first-seen
     /// order, matching the legacy linear scan exactly.
     pub fn get_or_insert(&mut self, key: &[Value]) -> (usize, bool) {
-        if let Some(g) = self.lookup(key) {
+        self.get_or_insert_key(key)
+    }
+
+    /// [`GroupKeyMap::get_or_insert`] over cells borrowed from batch
+    /// columns: same hash, same `grouping_eq`, same NaN side list, so the
+    /// two probes may be mixed on one map. A key already present clones
+    /// nothing.
+    pub(crate) fn get_or_insert_cells(&mut self, key: &[CellRef<'_>]) -> (usize, bool) {
+        self.get_or_insert_key(key)
+    }
+
+    fn get_or_insert_key<K: GroupKey + ?Sized>(&mut self, key: &K) -> (usize, bool) {
+        if let Some(g) = self.lookup_key(key) {
             return (g, false);
         }
         let id = self.keys.len();
@@ -457,7 +536,7 @@ impl GroupKeyMap {
             Some(hash) => self.exact.entry(hash).or_default().push(id),
             None => self.fuzzy.push(id),
         }
-        self.keys.push(key.to_vec());
+        self.keys.push(key.to_values());
         (id, true)
     }
 
@@ -1265,6 +1344,37 @@ mod tests {
         assert_eq!(m.get_or_insert(&[Value::Real(5.0)]), (0, false));
         assert_eq!(m.get_or_insert(&[Value::text("x")]), (1, true));
         assert_eq!(m.get_or_insert(&[Value::Null]), (2, true));
+    }
+
+    #[test]
+    fn group_key_map_cell_probes_match_value_probes() {
+        // Borrowed-cell probes and owned-value probes share the hash, the
+        // grouping equality and the NaN side list, so they may be mixed on
+        // one map and assign the ids a value-only map assigns.
+        let keys = [
+            vec![Value::Integer(2), Value::text("a")],
+            vec![Value::Real(2.0), Value::text("a")],
+            vec![Value::Null, Value::Null],
+            vec![Value::Real(f64::NAN), Value::text("a")],
+            vec![Value::Real(-0.0), Value::text("b")],
+            vec![Value::Integer(0), Value::text("b")],
+            vec![Value::text("2"), Value::text("a")],
+            vec![Value::Real(7.5), Value::text("a")],
+        ];
+        let mut by_value = GroupKeyMap::default();
+        let mut mixed = GroupKeyMap::default();
+        for (i, key) in keys.iter().enumerate() {
+            let want = by_value.get_or_insert(key);
+            let got = if i % 2 == 0 {
+                let cells: Vec<CellRef<'_>> = key.iter().map(CellRef::from).collect();
+                mixed.get_or_insert_cells(&cells)
+            } else {
+                mixed.get_or_insert(key)
+            };
+            assert_eq!(got, want, "{key:?}");
+        }
+        assert_eq!(mixed.keys(), by_value.keys());
+        assert_eq!(mixed.into_keys(), by_value.keys().to_vec());
     }
 
     #[test]

@@ -40,11 +40,7 @@ impl Value {
     /// Text is *not* implicitly parsed: `'12'` is text, matching the way the
     /// BIRD databases store coded values.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Integer(i) => Some(*i as f64),
-            Value::Real(r) => Some(*r),
-            _ => None,
-        }
+        CellRef::from(self).as_f64()
     }
 
     /// Integer view of the value, if it is an integer.
@@ -66,12 +62,7 @@ impl Value {
     /// SQL truthiness: `NULL` is unknown, numbers are true when non-zero,
     /// text is true when non-empty and not `"0"`.
     pub fn to_truth(&self) -> Truth {
-        match self {
-            Value::Null => Truth::Unknown,
-            Value::Integer(i) => Truth::from_bool(*i != 0),
-            Value::Real(r) => Truth::from_bool(*r != 0.0),
-            Value::Text(s) => Truth::from_bool(!s.is_empty() && s != "0"),
-        }
+        CellRef::from(self).truth()
     }
 
     /// Builds a value from a boolean (SQL integers 0/1).
@@ -118,21 +109,7 @@ impl Value {
     /// Total ordering used for `ORDER BY` and `GROUP BY`: `NULL` sorts first,
     /// then numbers, then text.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
-            match v {
-                Value::Null => 0,
-                Value::Integer(_) | Value::Real(_) => 1,
-                Value::Text(_) => 2,
-            }
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (a, b) if rank(a) == 1 && rank(b) == 1 => {
-                cmp_f64(a.as_f64().unwrap(), b.as_f64().unwrap())
-            }
-            (a, b) => rank(a).cmp(&rank(b)),
-        }
+        CellRef::from(self).total_cmp(CellRef::from(other))
     }
 
     /// Equality as used by `GROUP BY`/`DISTINCT`/result comparison: NULLs are
@@ -144,16 +121,12 @@ impl Value {
     /// Renders the value the way SQLite's shell would.
     pub fn render(&self) -> String {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Integer(i) => i.to_string(),
-            Value::Real(r) => {
-                if r.fract() == 0.0 && r.abs() < 1e15 {
-                    format!("{:.1}", r)
-                } else {
-                    format!("{r}")
-                }
-            }
             Value::Text(s) => s.clone(),
+            v => {
+                let mut out = String::new();
+                CellRef::from(v).render_into(&mut out);
+                out
+            }
         }
     }
 
@@ -209,6 +182,98 @@ impl Value {
                 }
             }
         })
+    }
+}
+
+/// A borrowed view of one [`Value`] or column cell: copied for numbers,
+/// borrowed for text, so comparing or hashing a cell never clones it. The
+/// batch kernels' working currency.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CellRef<'a> {
+    Null,
+    Int(i64),
+    Real(f64),
+    Text(&'a str),
+}
+
+impl<'a> From<&'a Value> for CellRef<'a> {
+    #[inline]
+    fn from(v: &'a Value) -> Self {
+        match v {
+            Value::Null => CellRef::Null,
+            Value::Integer(i) => CellRef::Int(*i),
+            Value::Real(r) => CellRef::Real(*r),
+            Value::Text(s) => CellRef::Text(s),
+        }
+    }
+}
+
+impl CellRef<'_> {
+    /// Numeric view, like [`Value::as_f64`]: text is not parsed.
+    #[inline]
+    pub(crate) fn as_f64(self) -> Option<f64> {
+        match self {
+            CellRef::Int(i) => Some(i as f64),
+            CellRef::Real(r) => Some(r),
+            _ => None,
+        }
+    }
+
+    /// [`Value::to_truth`]: NULL is unknown, numbers are true when
+    /// non-zero, text when non-empty and not `"0"`.
+    #[inline]
+    pub(crate) fn truth(self) -> Truth {
+        match self {
+            CellRef::Null => Truth::Unknown,
+            CellRef::Int(i) => Truth::from_bool(i != 0),
+            CellRef::Real(r) => Truth::from_bool(r != 0.0),
+            CellRef::Text(s) => Truth::from_bool(!s.is_empty() && s != "0"),
+        }
+    }
+
+    /// Appends the cell's [`Value::render`] text to `out`, so a caller
+    /// rendering many numbers reuses one buffer.
+    pub(crate) fn render_into(self, out: &mut String) {
+        use std::fmt::Write;
+        let written = match self {
+            CellRef::Null => out.write_str("NULL"),
+            CellRef::Int(i) => write!(out, "{i}"),
+            CellRef::Real(r) if r.fract() == 0.0 && r.abs() < 1e15 => write!(out, "{r:.1}"),
+            CellRef::Real(r) => write!(out, "{r}"),
+            CellRef::Text(s) => out.write_str(s),
+        };
+        written.expect("writing to a String cannot fail");
+    }
+
+    /// The cell as an owned [`Value`].
+    pub(crate) fn to_value(self) -> Value {
+        match self {
+            CellRef::Null => Value::Null,
+            CellRef::Int(i) => Value::Integer(i),
+            CellRef::Real(r) => Value::Real(r),
+            CellRef::Text(s) => Value::Text(s.to_string()),
+        }
+    }
+
+    /// [`Value::total_cmp`]: `NULL` first, then numbers (through
+    /// [`cmp_f64`]), then text.
+    #[inline]
+    pub(crate) fn total_cmp(self, other: CellRef<'_>) -> Ordering {
+        fn rank(c: CellRef<'_>) -> u8 {
+            match c {
+                CellRef::Null => 0,
+                CellRef::Int(_) | CellRef::Real(_) => 1,
+                CellRef::Text(_) => 2,
+            }
+        }
+        match (self, other) {
+            (CellRef::Null, CellRef::Null) => Ordering::Equal,
+            (CellRef::Text(a), CellRef::Text(b)) => a.cmp(b),
+            (a, b) if rank(a) == 1 && rank(b) == 1 => {
+                cmp_f64(a.as_f64().unwrap(), b.as_f64().unwrap())
+            }
+            (a, b) => rank(a).cmp(&rank(b)),
+        }
     }
 }
 
@@ -370,30 +435,117 @@ fn parse_numeric_prefix(s: &str) -> Value {
     }
 }
 
-/// SQL `LIKE` matching with `%` and `_` wildcards, case-insensitive like SQLite's
-/// default for ASCII.
+/// SQL `LIKE` matching with `%` and `_` wildcards, case-insensitive per
+/// character (see [`LikePattern`]). Compiles `pattern` and matches once;
+/// callers matching one pattern against many texts compile it themselves.
 pub fn like_match(pattern: &str, text: &str) -> bool {
-    fn inner(p: &[char], t: &[char]) -> bool {
-        if p.is_empty() {
-            return t.is_empty();
+    LikePattern::new(pattern).matches(text)
+}
+
+/// One element of a compiled [`LikePattern`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LikeTok {
+    /// `%`: any run of characters, the empty run included.
+    Any,
+    /// `_`: exactly one character.
+    One,
+    /// Any other character: matches itself, case-folded.
+    Char(char),
+}
+
+/// A compiled SQL `LIKE` pattern. Every `%` and `_` is a wildcard (there is
+/// no escape character), and a literal character matches a text character
+/// when their `char::to_lowercase` sequences are equal — so the Kelvin sign
+/// `K` matches `k`, but `İ` (which lowercases to two characters) matches
+/// neither `i` nor `I`.
+///
+/// Matching is the two-pointer wildcard algorithm: it walks the text once,
+/// keeping a single backtrack point, the last `%` seen. A mismatch after it
+/// extends that `%`'s run by one character and retries the tokens after it;
+/// earlier `%`s never need revisiting, because each run of literal tokens
+/// is matched at its leftmost position. So a match costs
+/// O(|pattern| · |text|) and allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LikePattern {
+    toks: Vec<LikeTok>,
+}
+
+impl LikePattern {
+    /// Compiles `pattern`. Consecutive `%`s collapse into one.
+    pub fn new(pattern: &str) -> Self {
+        let mut toks = Vec::with_capacity(pattern.len());
+        for c in pattern.chars() {
+            let tok = match c {
+                '%' => LikeTok::Any,
+                '_' => LikeTok::One,
+                c => LikeTok::Char(c),
+            };
+            if !(tok == LikeTok::Any && toks.last() == Some(&LikeTok::Any)) {
+                toks.push(tok);
+            }
         }
-        match p[0] {
-            '%' => {
-                // Match zero or more characters.
-                if inner(&p[1..], t) {
-                    return true;
+        LikePattern { toks }
+    }
+
+    /// True when the whole of `text` matches the pattern.
+    pub fn matches(&self, text: &str) -> bool {
+        let toks = &self.toks;
+        // `p` indexes tokens, `t` is a byte offset into `text`.
+        let (mut p, mut t) = (0usize, 0usize);
+        // The last `%` seen: the token after it, and the text offset where
+        // its run currently ends.
+        let mut star: Option<(usize, usize)> = None;
+        loop {
+            let c = char_at(text, t);
+            match (toks.get(p), c) {
+                (None, None) => return true,
+                (Some(LikeTok::Any), _) => {
+                    p += 1;
+                    star = Some((p, t));
+                    continue;
                 }
-                (1..=t.len()).any(|k| inner(&p[1..], &t[k..]))
+                (Some(LikeTok::One), Some(c)) => {
+                    p += 1;
+                    t += c.len_utf8();
+                    continue;
+                }
+                (Some(LikeTok::Char(pc)), Some(c)) if chars_match(*pc, c) => {
+                    p += 1;
+                    t += c.len_utf8();
+                    continue;
+                }
+                _ => {}
             }
-            '_' => !t.is_empty() && inner(&p[1..], &t[1..]),
-            c => {
-                !t.is_empty() && c.to_lowercase().eq(t[0].to_lowercase()) && inner(&p[1..], &t[1..])
-            }
+            // Mismatch: give the last `%` one more character, or fail.
+            let Some((after, end)) = star else { return false };
+            let Some(c) = char_at(text, end) else { return false };
+            t = end + c.len_utf8();
+            p = after;
+            star = Some((after, t));
         }
     }
-    let p: Vec<char> = pattern.chars().collect();
-    let t: Vec<char> = text.chars().collect();
-    inner(&p, &t)
+}
+
+/// The character starting at byte offset `t`, decoded without re-walking
+/// the string for ASCII text.
+#[inline]
+fn char_at(text: &str, t: usize) -> Option<char> {
+    match text.as_bytes().get(t) {
+        None => None,
+        Some(&b) if b.is_ascii() => Some(b as char),
+        Some(_) => text[t..].chars().next(),
+    }
+}
+
+/// `LIKE`'s per-character equality: ASCII pairs compare case-insensitively
+/// in place; any other pair compares its `char::to_lowercase` sequences.
+#[inline]
+fn chars_match(p: char, t: char) -> bool {
+    if p.is_ascii() && t.is_ascii() {
+        p.eq_ignore_ascii_case(&t)
+    } else {
+        p.to_lowercase().eq(t.to_lowercase())
+    }
 }
 
 #[cfg(test)]
@@ -457,6 +609,71 @@ mod tests {
         assert_eq!(Value::text("12abc").coerce_numeric(), Value::Integer(12));
         assert_eq!(Value::text("3.5x").coerce_numeric(), Value::Real(3.5));
         assert_eq!(Value::text("abc").coerce_numeric(), Value::Integer(0));
+    }
+
+    /// The original recursive matcher, kept as the reference
+    /// [`LikePattern`] is checked against. Exponential on patterns with many
+    /// `%`s; only ever called on short strings.
+    fn like_match_reference(pattern: &str, text: &str) -> bool {
+        fn inner(p: &[char], t: &[char]) -> bool {
+            if p.is_empty() {
+                return t.is_empty();
+            }
+            match p[0] {
+                '%' => {
+                    if inner(&p[1..], t) {
+                        return true;
+                    }
+                    (1..=t.len()).any(|k| inner(&p[1..], &t[k..]))
+                }
+                '_' => !t.is_empty() && inner(&p[1..], &t[1..]),
+                c => {
+                    !t.is_empty()
+                        && c.to_lowercase().eq(t[0].to_lowercase())
+                        && inner(&p[1..], &t[1..])
+                }
+            }
+        }
+        let p: Vec<char> = pattern.chars().collect();
+        let t: Vec<char> = text.chars().collect();
+        inner(&p, &t)
+    }
+
+    proptest::proptest! {
+        /// The compiled matcher agrees with the recursive reference on short
+        /// strings over the wildcards, ASCII letters, and characters whose
+        /// case mappings are irregular: `İ` lowercases to two characters,
+        /// `ß` uppercases to two, `ſ` uppercases to `S`, and the Kelvin sign
+        /// lowercases to `k`. Each generated pair is also checked at every
+        /// text suffix, to cover more alignments per case.
+        #[test]
+        fn like_pattern_matches_the_recursive_reference(
+            pattern in "[%_aAbBkKsSiIİßſ\u{212A}]{0,8}",
+            text in "[aAbBkKsSiIİßſ\u{212A}]{0,10}"
+        ) {
+            let compiled = LikePattern::new(&pattern);
+            for (start, _) in text.char_indices().chain(std::iter::once((text.len(), ' '))) {
+                let t = &text[start..];
+                proptest::prop_assert_eq!(
+                    compiled.matches(t),
+                    like_match_reference(&pattern, t),
+                    "{:?} LIKE {:?}", t, pattern
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn like_folds_case_per_character() {
+        assert!(like_match("k", "\u{212A}"), "the Kelvin sign lowercases to k");
+        assert!(like_match("\u{212A}", "K"));
+        assert!(!like_match("i", "İ"), "İ lowercases to two characters");
+        assert!(!like_match("s", "ſ"), "ſ is its own lowercase");
+        assert!(like_match("ß", "ß"));
+        assert!(like_match("_", "İ"), "_ consumes one character, not one byte");
+        assert!(like_match("%%a%%", "bab"), "runs of % collapse");
+        assert!(!like_match("a%", ""));
+        assert!(like_match("%", ""));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 
 use proptest::prelude::*;
 use seed_sqlengine::{
-    execute_with_stats_mode, ColumnDef, DataType, Database, PlanMode, PreparedStatement,
-    TableSchema, Value, BATCH_SIZE,
+    execute_select_with_plan_cache, execute_with_stats_mode, parse_select, ColumnDef, DataType,
+    Database, PlanCache, PlanMode, PreparedStatement, TableSchema, Value, BATCH_SIZE,
 };
 
 /// Decodes one generator character into a cell. The alphabet deliberately
@@ -275,4 +275,257 @@ fn prepared_statement_sees_mutation_between_executions() {
     // And the refreshed result still matches the nested-loop oracle.
     let (nl, _) = execute_with_stats_mode(&db, stmt.sql(), PlanMode::NestedLoop).unwrap();
     assert_eq!(rendered(&after.rows), rendered(&nl.rows));
+}
+
+/// One table whose cells collide under `grouping_eq` and `sql_cmp`: NULLs,
+/// NaN (which groups with every number), both signed zeros, and `1` next to
+/// `1.0` and `'1'`. `x` mixes every class in one column (mixed storage);
+/// `r` is a typed real column holding NaN and both zeros.
+fn collision_db() -> Database {
+    let mut db = Database::new("collide");
+    db.create_table(TableSchema::new(
+        "d",
+        vec![
+            ColumnDef::new("id", DataType::Integer).primary_key(),
+            ColumnDef::new("x", DataType::Text),
+            ColumnDef::new("r", DataType::Real),
+        ],
+    ))
+    .unwrap();
+    let xs = [
+        Value::Integer(1),
+        Value::Null,
+        Value::Real(1.0),
+        Value::text("1"),
+        Value::Real(-0.0),
+        Value::Real(f64::NAN),
+        Value::Integer(0),
+        Value::Real(0.0),
+        Value::Null,
+        Value::text("nan"),
+        Value::Integer(2),
+        Value::text("1"),
+    ];
+    let rs = [
+        Value::Real(-0.0),
+        Value::Real(0.0),
+        Value::Null,
+        Value::Real(1.0),
+        Value::Real(f64::NAN),
+        Value::Real(2.0),
+        Value::Null,
+        Value::Real(f64::NAN),
+        Value::Real(0.0),
+        Value::Real(-0.0),
+        Value::Real(3.5),
+        Value::Real(1.0),
+    ];
+    for (i, (x, r)) in xs.iter().zip(&rs).enumerate() {
+        db.insert("d", vec![Value::Integer(i as i64), x.clone(), r.clone()]).unwrap();
+    }
+    db
+}
+
+/// DISTINCT and GROUP BY over cells that collide under `grouping_eq`: NULL
+/// groups with NULL, `1` with `1.0` (not with `'1'`), `-0.0` with `0.0`,
+/// and NaN with whichever number came first — the first-seen row of each
+/// group is the one both modes must emit.
+#[test]
+fn distinct_over_colliding_cells() {
+    let db = collision_db();
+    for sql in [
+        "SELECT DISTINCT x FROM d",
+        "SELECT DISTINCT r FROM d",
+        "SELECT DISTINCT x, r FROM d",
+        "SELECT DISTINCT r, x FROM d LIMIT 4",
+        "SELECT DISTINCT x FROM d LIMIT 3 OFFSET 2",
+        "SELECT DISTINCT x FROM d ORDER BY 1",
+        "SELECT DISTINCT r FROM d WHERE id > 3",
+        "SELECT DISTINCT x || '' FROM d",
+        "SELECT x, COUNT(*) FROM d GROUP BY x",
+        "SELECT r, COUNT(*), MIN(x) FROM d GROUP BY r",
+        "SELECT DISTINCT COUNT(*) FROM d GROUP BY x",
+        "SELECT DISTINCT COUNT(*) FROM d GROUP BY r LIMIT 2",
+    ] {
+        assert_both_modes(&db, sql);
+    }
+    // `1`, `1.0` and `'1'`: the numbers collapse, the text stays apart.
+    let rows = assert_both_modes(&db, "SELECT DISTINCT x FROM d WHERE id IN (0, 2, 3, 11)");
+    assert_eq!(rows, vec![vec!["1".to_string()], vec!["1".to_string()]]);
+}
+
+/// A table of `n` rows whose columns change storage class between chunks:
+/// `a` is integer in the first chunk and numeric text after it, `b` mixes
+/// integer, real and text cells in every chunk, `s` is plain text.
+fn mixed_storage_db(n: usize) -> Database {
+    let mut db = Database::new("mixed");
+    db.create_table(TableSchema::new(
+        "m",
+        vec![
+            ColumnDef::new("id", DataType::Integer).primary_key(),
+            ColumnDef::new("a", DataType::Text),
+            ColumnDef::new("b", DataType::Text),
+            ColumnDef::new("s", DataType::Text),
+        ],
+    ))
+    .unwrap();
+    for i in 0..n {
+        let a = if i < BATCH_SIZE {
+            Value::Integer((i % 5) as i64)
+        } else {
+            Value::text((i % 5).to_string())
+        };
+        let b = match i % 3 {
+            0 => Value::Integer((i % 4) as i64),
+            1 => Value::Real((i % 4) as f64),
+            _ => Value::text((i % 4).to_string()),
+        };
+        let s = Value::text(format!("x{}", i % 10));
+        db.insert("m", vec![Value::Integer(i as i64), a, b, s]).unwrap();
+    }
+    db
+}
+
+/// Filters, DISTINCT and LIMIT over columns whose storage is typed in one
+/// chunk and different in the next, or mixed within a chunk.
+#[test]
+fn mixed_storage_columns() {
+    let db = mixed_storage_db(2 * BATCH_SIZE + 100);
+    for sql in [
+        "SELECT DISTINCT a FROM m",
+        "SELECT DISTINCT b FROM m LIMIT 7",
+        "SELECT DISTINCT a, b FROM m LIMIT 9 OFFSET 4",
+        "SELECT COUNT(*) FROM m WHERE a = 1",
+        "SELECT COUNT(*) FROM m WHERE a = '1'",
+        "SELECT COUNT(*) FROM m WHERE b > 1.5",
+        "SELECT COUNT(*) FROM m WHERE 2 <= b",
+        "SELECT id FROM m WHERE a IN (1, '3') AND b BETWEEN 1 AND '2' LIMIT 20",
+        "SELECT a + 1, b * 2, -b FROM m WHERE id % 97 = 0",
+        "SELECT a, COUNT(*), SUM(b) FROM m GROUP BY a",
+        "SELECT DISTINCT s FROM m LIMIT 5 OFFSET 3",
+    ] {
+        assert_both_modes(&db, sql);
+    }
+}
+
+/// DISTINCT and LIMIT/OFFSET whose cut falls at, just before and just past
+/// the 1,024-row chunk boundary, with and without a selection in front.
+#[test]
+fn limit_and_distinct_across_the_chunk_boundary() {
+    let n = 2 * BATCH_SIZE + 100;
+    let db = boundary_db(n);
+    let b = BATCH_SIZE;
+    let cases = [
+        (format!("SELECT v FROM t LIMIT {b}"), b),
+        (format!("SELECT v FROM t LIMIT {}", b - 1), b - 1),
+        (format!("SELECT v FROM t LIMIT {}", b + 1), b + 1),
+        (format!("SELECT v FROM t LIMIT 1 OFFSET {}", b - 1), 1),
+        (format!("SELECT v FROM t LIMIT 2 OFFSET {}", b - 1), 2),
+        (format!("SELECT v FROM t LIMIT 5 OFFSET {}", n - 3), 3),
+        (format!("SELECT v FROM t LIMIT 0 OFFSET {b}"), 0),
+        (format!("SELECT v FROM t WHERE v > 1000 LIMIT 30 OFFSET {}", b - 1010), 30),
+        (format!("SELECT DISTINCT v / {b} FROM t LIMIT 3"), 3),
+        (format!("SELECT DISTINCT v / {b} FROM t LIMIT 2 OFFSET 1"), 2),
+        (format!("SELECT DISTINCT v FROM t WHERE v >= {} LIMIT 8", b - 4), 8),
+        ("SELECT DISTINCT g FROM t LIMIT 3 OFFSET 5".to_string(), 2),
+        ("SELECT DISTINCT g, r IS NULL FROM t LIMIT 20".to_string(), 14),
+        ("SELECT v FROM t ORDER BY v DESC LIMIT 3 OFFSET 1022".to_string(), 3),
+        ("SELECT v FROM t LIMIT 9223372036854775807 OFFSET 1".to_string(), n - 1),
+        ("SELECT v FROM t LIMIT 9223372036854775807 OFFSET 9223372036854775807".to_string(), 0),
+    ];
+    for (sql, rows) in &cases {
+        assert_eq!(assert_both_modes(&db, sql).len(), *rows, "{sql}");
+    }
+
+    // `u64::MAX` does not lex as a number, so both modes reject the text
+    // alike; set on a parsed statement, `OFFSET + LIMIT` saturates instead
+    // of wrapping to a cut before the first row.
+    let sql = "SELECT v FROM t LIMIT 18446744073709551615 OFFSET 1";
+    let col = execute_with_stats_mode(&db, sql, PlanMode::Columnar).map(|(rs, _)| rs.rows);
+    let nl = execute_with_stats_mode(&db, sql, PlanMode::NestedLoop).map(|(rs, _)| rs.rows);
+    assert!(col.is_err(), "{sql}");
+    assert_eq!(col, nl, "{sql}");
+    for (sql, rows) in [("SELECT v FROM t", n - 1), ("SELECT DISTINCT g FROM t", 6)] {
+        let mut stmt = parse_select(&format!("{sql} LIMIT 1 OFFSET 1")).unwrap();
+        stmt.limit = Some(u64::MAX);
+        let run = |mode| {
+            let plans = PlanCache::new(stmt.query_count());
+            let (rs, _) = execute_select_with_plan_cache(&db, &stmt, mode, &plans).unwrap();
+            rendered(&rs.rows)
+        };
+        let col = run(PlanMode::Columnar);
+        assert_eq!(col, run(PlanMode::NestedLoop), "{sql} LIMIT u64::MAX OFFSET 1");
+        assert_eq!(col.len(), rows, "{sql} LIMIT u64::MAX OFFSET 1");
+    }
+}
+
+/// `LIKE` with a NULL pattern, patterns computed per row, and integer and
+/// real cells, which match as rendered.
+#[test]
+fn like_with_null_computed_patterns_and_numeric_cells() {
+    let db = boundary_db(BATCH_SIZE + 50);
+    for sql in [
+        "SELECT id FROM t WHERE v LIKE NULL",
+        "SELECT id FROM t WHERE NULL LIKE '%'",
+        "SELECT id FROM t WHERE v NOT LIKE NULL",
+        "SELECT id FROM t WHERE v LIKE '1%0'",
+        "SELECT id, v LIKE '%7' FROM t WHERE id < 40",
+        "SELECT id FROM t WHERE r LIKE '%.5'",
+        "SELECT id FROM t WHERE v LIKE g || '%'",
+        "SELECT id FROM t WHERE '1037' LIKE v",
+        "SELECT id FROM t WHERE v LIKE '_' || g",
+        "SELECT COUNT(*) FROM t WHERE v NOT LIKE '%1%'",
+    ] {
+        assert_both_modes(&db, sql);
+    }
+    let db = mixed_storage_db(BATCH_SIZE + 50);
+    for sql in [
+        "SELECT id FROM m WHERE a LIKE '1'",
+        "SELECT DISTINCT b FROM m WHERE b LIKE '%1%'",
+        "SELECT id FROM m WHERE s LIKE '%' || a LIMIT 30",
+        "SELECT DISTINCT s FROM m WHERE s LIKE 'X_' LIMIT 4",
+    ] {
+        assert_both_modes(&db, sql);
+    }
+}
+
+/// Typed integer, real and text columns compared against scalars of every
+/// class, on either side: text that parses as a float compares
+/// numerically (`'nan'` equal to every number, `'-inf'` below all), text
+/// that does not sorts after every number.
+#[test]
+fn typed_scalar_compares_against_float_text() {
+    let db = boundary_db(BATCH_SIZE + 50);
+    for sql in [
+        "SELECT id FROM t WHERE v = '5'",
+        "SELECT id FROM t WHERE v = ' 5'",
+        "SELECT COUNT(*) FROM t WHERE v < '2.5'",
+        "SELECT COUNT(*) FROM t WHERE v > 'nan'",
+        "SELECT COUNT(*) FROM t WHERE v = 'nan'",
+        "SELECT COUNT(*) FROM t WHERE r >= '-inf'",
+        "SELECT COUNT(*) FROM t WHERE r = 'NaN'",
+        "SELECT COUNT(*) FROM t WHERE v <> 'abc'",
+        "SELECT COUNT(*) FROM t WHERE v < 'abc'",
+        "SELECT COUNT(*) FROM t WHERE '10' > v",
+        "SELECT COUNT(*) FROM t WHERE 'abc' > r",
+        "SELECT COUNT(*) FROM t WHERE r <= 2.0",
+        "SELECT COUNT(*) FROM t WHERE v >= 1.5 AND v < 1000.0",
+        "SELECT COUNT(*) FROM t WHERE v = NULL",
+        "SELECT COUNT(*) FROM t WHERE 1 = 1",
+        "SELECT COUNT(*) FROM t WHERE 1 = 2 OR v = 3",
+    ] {
+        assert_both_modes(&db, sql);
+    }
+    let db = collision_db();
+    for sql in [
+        "SELECT id FROM d WHERE x = '1'",
+        "SELECT id FROM d WHERE x = 1",
+        "SELECT id FROM d WHERE x > '0.5'",
+        "SELECT id FROM d WHERE r = 'nan'",
+        "SELECT id FROM d WHERE r < 'x'",
+        "SELECT id FROM d WHERE x <> 'nan'",
+        "SELECT id FROM d WHERE 0 = r",
+    ] {
+        assert_both_modes(&db, sql);
+    }
 }
