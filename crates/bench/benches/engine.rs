@@ -5,14 +5,16 @@
 //! search at 1x vs 10x input sizes (hash grouping and the inverted index
 //! must scale ~linearly, not quadratically), plus a correlated-subquery
 //! workload whose per-outer-row re-planning is eliminated by the plan cache,
-//! and SEED's sample-SQL probe shapes on BIRD toxicology at scale 16.
+//! SEED's sample-SQL probe shapes on BIRD toxicology at scale 16, and the
+//! commit path (`commit_path` benches) on the same table at scales 1 and 16.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seed_datasets::{bird::build_bird, CorpusConfig, Split};
 use seed_retrieval::Bm25Index;
 use seed_sqlengine::{
-    execute, execute_select_with_plan_cache, execute_with_stats_mode, parse_select, plan_select,
-    ColumnDef, DataType, Database, PlanCache, PlanMode, TableSchema,
+    commit_statement, commit_statement_rebuild, execute, execute_select_with_plan_cache,
+    execute_statement, execute_with_stats_mode, parse_select, plan_select, ColumnDef, DataType,
+    Database, PlanCache, PlanMode, TableSchema,
 };
 
 /// Rows in the 1x synthetic table; the 10x variants multiply this.
@@ -332,6 +334,59 @@ fn engine_benches(c: &mut Criterion) {
         assert!(!col.rows.is_empty(), "{sql} must return rows");
         c.bench_function(name, |b| b.iter(|| execute(toxicology, sql).unwrap()));
     }
+
+    // The commit path on toxicology's `atom` at scale 1 (300 rows, one
+    // chunk) and 16 (4,774 rows, five chunks): a one-row UPDATE by primary
+    // key of a row in a middle chunk, and an INSERT of a fresh key followed
+    // by its DELETE, each through `commit_statement` against one snapshot.
+    // Each first asserts the rows of the rebuild oracle.
+    let bird1 = build_bird(&CorpusConfig::default());
+    for (scale, corpus) in [("1x", &bird1), ("16x", &bird16)] {
+        let db = corpus.database("toxicology").unwrap();
+        let rows = |db: &Database| db.table("atom").unwrap().rows().to_vec();
+        let atoms = db.table("atom").unwrap().len() as i64;
+        let update = format!("UPDATE atom SET element = element WHERE atom_id = {}", atoms / 2);
+        let fresh = atoms + 1_000_000;
+        let insert = format!("INSERT INTO atom VALUES ({fresh}, 'TR999', 'c')");
+        let delete = format!("DELETE FROM atom WHERE atom_id = {fresh}");
+        let updated = commit_statement(db, &update).unwrap();
+        assert_eq!(updated.rows_affected, 1, "{update}");
+        assert_eq!(rows(&updated.db), rows(&commit_statement_rebuild(db, &update).unwrap().db));
+        let inserted = commit_statement(db, &insert).unwrap().db;
+        let reinserted = commit_statement_rebuild(db, &insert).unwrap().db;
+        assert_eq!(rows(&inserted), rows(&reinserted), "{insert}");
+        let deleted = commit_statement(&inserted, &delete).unwrap().db;
+        assert_eq!(
+            rows(&deleted),
+            rows(&commit_statement_rebuild(&reinserted, &delete).unwrap().db)
+        );
+        assert_eq!(rows(&deleted), rows(db), "{delete} restores the table");
+        c.bench_function(&format!("engine/commit_path_update_{scale}"), |b| {
+            b.iter(|| commit_statement(db, &update).unwrap())
+        });
+        c.bench_function(&format!("engine/commit_path_insert_delete_{scale}"), |b| {
+            b.iter(|| {
+                let inserted = commit_statement(db, &insert).unwrap().db;
+                commit_statement(&inserted, &delete).unwrap()
+            })
+        });
+    }
+    // Loading a fresh table by 1,000 single-row INSERTs through
+    // `execute_statement`, as SQL scripts build databases.
+    let inserts: Vec<String> =
+        (0..1000).map(|i| format!("INSERT INTO atom VALUES ({i}, 'TR{i:03}', 'c')")).collect();
+    c.bench_function("engine/commit_path_execute_insert_1000", |b| {
+        b.iter(|| {
+            let mut db = Database::new("load");
+            let create =
+                "CREATE TABLE atom (atom_id INTEGER PRIMARY KEY, molecule_id TEXT, element TEXT)";
+            execute_statement(&mut db, create).unwrap();
+            for sql in &inserts {
+                execute_statement(&mut db, sql).unwrap();
+            }
+            db
+        })
+    });
 
     // PK point lookup vs full scan on the largest base table.
     c.bench_function("engine/pk_lookup_hash_index", |b| {

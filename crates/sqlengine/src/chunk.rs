@@ -1,19 +1,24 @@
 //! Columnar data representation: typed value arrays with null bitmaps and
-//! the [`DataChunk`] batches that flow between columnar operators.
+//! the [`DataChunk`] batches that tables are stored as and that flow between
+//! columnar operators.
 //!
-//! The row executor moves `Vec<Value>` rows one at a time; the columnar
-//! executor ([`crate::plan::PlanMode::Columnar`]) moves [`DataChunk`]s of up
-//! to [`BATCH_SIZE`] rows, each column stored as a [`ColumnArray`]. A column
-//! whose non-null cells all share one storage class is stored as a typed
-//! vector (`Vec<i64>`, `Vec<f64>`, or `Vec<String>`) plus a [`NullBitmap`];
-//! a column mixing storage classes (legal here, as in SQLite) degrades to a
-//! `Mixed` array of plain [`Value`]s. Integers and reals are deliberately
-//! *not* merged into one float array: `Value::render` distinguishes `2`
-//! from `2.0`, so the storage class of every cell must survive batching.
+//! A [`crate::storage::Table`] is a list of shared [`DataChunk`]s, and the
+//! columnar executor ([`crate::plan::PlanMode::Columnar`]) moves chunks of
+//! up to [`BATCH_SIZE`] rows, each column stored as a [`ColumnArray`]. A
+//! column whose non-null cells all share one storage class is stored as a
+//! typed vector (`Vec<i64>`, `Vec<f64>`, or `Vec<String>`) plus a
+//! [`NullBitmap`]; a column mixing storage classes (legal here, as in
+//! SQLite) degrades to a `Mixed` array of plain [`Value`]s. Integers and
+//! reals are deliberately *not* merged into one float array:
+//! `Value::render` distinguishes `2` from `2.0`, so the storage class of
+//! every cell must survive batching.
 //!
-//! [`ArrayBuilder`] starts untyped, specializes on the first non-null value
-//! (backfilling null placeholders), and degrades to `Mixed` on the first
-//! class conflict — so construction never needs the column type up front.
+//! Columns are built by appending ([`ColumnArray::push`]): an empty column
+//! ([`ColumnArray::default`]) or one holding only NULLs takes the class of
+//! the first non-null value pushed (backfilling null placeholders), and the
+//! first value of another class degrades it to `Mixed` for good — so
+//! construction never needs the column type up front, and a column's class
+//! depends only on the sequence of values pushed.
 //!
 //! [`SelChunk`] pairs a shared chunk with an optional *selection vector*:
 //! filters mark surviving rows instead of gathering a copy, conjunctive
@@ -121,6 +126,15 @@ pub enum ColumnArray {
     Mixed { values: Vec<Value> },
 }
 
+/// An empty column. It stays `Int` while it holds only NULLs, which read
+/// the same in every class, and takes the class of the first non-null value
+/// pushed.
+impl Default for ColumnArray {
+    fn default() -> Self {
+        ColumnArray::Int { values: Vec::new(), nulls: NullBitmap::default() }
+    }
+}
+
 impl ColumnArray {
     /// Number of rows.
     pub fn len(&self) -> usize {
@@ -218,11 +232,108 @@ impl ColumnArray {
 
     /// Builds a column from a slice of values.
     pub fn from_values(vals: &[Value]) -> ColumnArray {
-        let mut b = ArrayBuilder::with_capacity(vals.len());
+        let mut col = ColumnArray::default();
         for v in vals {
-            b.push(v);
+            col.push(v.clone());
         }
-        b.finish()
+        col
+    }
+
+    /// Appends a NULL cell.
+    pub fn push_null(&mut self) {
+        match self {
+            ColumnArray::Int { values, nulls } => {
+                values.push(0);
+                nulls.push(true);
+            }
+            ColumnArray::Real { values, nulls } => {
+                values.push(0.0);
+                nulls.push(true);
+            }
+            ColumnArray::Text { values, nulls } => {
+                values.push(String::new());
+                nulls.push(true);
+            }
+            ColumnArray::Mixed { values } => values.push(Value::Null),
+        }
+    }
+
+    /// Appends one value, taking its class or degrading to `Mixed` as the
+    /// module docs describe. A text value is moved in, not copied.
+    pub fn push(&mut self, v: Value) {
+        match (&mut *self, v) {
+            (col, Value::Null) => col.push_null(),
+            (ColumnArray::Int { values, nulls }, Value::Integer(x)) => {
+                values.push(x);
+                nulls.push(false);
+            }
+            (ColumnArray::Real { values, nulls }, Value::Real(x)) => {
+                values.push(x);
+                nulls.push(false);
+            }
+            (ColumnArray::Text { values, nulls }, Value::Text(s)) => {
+                values.push(s);
+                nulls.push(false);
+            }
+            (ColumnArray::Mixed { values }, v) => values.push(v),
+            (col, v) => {
+                col.reclass(CellRef::from(&v));
+                col.push(v);
+            }
+        }
+    }
+
+    /// Appends row `i` of `col`, as [`ColumnArray::push`] of its value
+    /// would.
+    pub fn push_from(&mut self, col: &ColumnArray, i: usize) {
+        match (&mut *self, col.cell(i)) {
+            (ColumnArray::Text { values, nulls }, CellRef::Text(s)) => {
+                values.push(s.to_owned());
+                nulls.push(false);
+            }
+            (_, cell) => self.push(cell.to_value()),
+        }
+    }
+
+    /// Appends every row of `col`; same-class typed appends are bulk copies.
+    pub fn extend_from(&mut self, col: &ColumnArray) {
+        match (&mut *self, col) {
+            (ColumnArray::Int { values, nulls }, ColumnArray::Int { values: v, nulls: n }) => {
+                values.extend_from_slice(v);
+                nulls.extend(n);
+            }
+            (ColumnArray::Real { values, nulls }, ColumnArray::Real { values: v, nulls: n }) => {
+                values.extend_from_slice(v);
+                nulls.extend(n);
+            }
+            (ColumnArray::Text { values, nulls }, ColumnArray::Text { values: v, nulls: n }) => {
+                values.extend_from_slice(v);
+                nulls.extend(n);
+            }
+            _ => (0..col.len()).for_each(|i| self.push_from(col, i)),
+        }
+    }
+
+    /// Makes room for `cell`, a non-null cell of another storage class: a
+    /// column holding only NULLs takes the cell's class, any other degrades
+    /// to `Mixed`.
+    fn reclass(&mut self, cell: CellRef<'_>) {
+        let n = self.len();
+        *self = match std::mem::take(self) {
+            ColumnArray::Int { nulls, .. }
+            | ColumnArray::Real { nulls, .. }
+            | ColumnArray::Text { nulls, .. }
+                if nulls.null_count() == n =>
+            {
+                match cell {
+                    CellRef::Int(_) => ColumnArray::Int { values: vec![0; n], nulls },
+                    CellRef::Real(_) => ColumnArray::Real { values: vec![0.0; n], nulls },
+                    CellRef::Text(_) => ColumnArray::Text { values: vec![String::new(); n], nulls },
+                    CellRef::Null => unreachable!("a NULL fits every column"),
+                }
+            }
+            mut col => ColumnArray::Mixed { values: (0..n).map(|i| col.take_at(i)).collect() },
+        };
     }
 
     /// A new column containing the rows of `self` selected by `idx`, in
@@ -269,227 +380,6 @@ impl ColumnArray {
     }
 }
 
-/// Internal typed state of an [`ArrayBuilder`].
-#[derive(Debug, Clone)]
-enum BuilderData {
-    /// Only NULLs seen so far; no storage class committed yet.
-    Untyped,
-    Int(Vec<i64>),
-    Real(Vec<f64>),
-    Text(Vec<String>),
-    Mixed(Vec<Value>),
-}
-
-/// Incremental [`ColumnArray`] constructor.
-///
-/// State machine: starts `Untyped` (NULLs only), specializes to the storage
-/// class of the first non-null value (backfilling placeholder cells for the
-/// NULLs already pushed), and degrades to `Mixed` permanently on the first
-/// value of a different class. An all-NULL column finishes as a typed `Int`
-/// array with an all-set bitmap.
-#[derive(Debug, Clone)]
-pub struct ArrayBuilder {
-    data: BuilderData,
-    nulls: NullBitmap,
-}
-
-impl Default for ArrayBuilder {
-    fn default() -> Self {
-        ArrayBuilder::new()
-    }
-}
-
-impl ArrayBuilder {
-    pub fn new() -> Self {
-        ArrayBuilder { data: BuilderData::Untyped, nulls: NullBitmap::default() }
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        let _ = cap; // the first typed push allocates with the right capacity
-        ArrayBuilder::new()
-    }
-
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.nulls.len()
-    }
-
-    /// True when nothing has been pushed.
-    pub fn is_empty(&self) -> bool {
-        self.nulls.is_empty()
-    }
-
-    /// Appends a NULL cell.
-    pub fn push_null(&mut self) {
-        self.nulls.push(true);
-        match &mut self.data {
-            BuilderData::Untyped => {}
-            BuilderData::Int(v) => v.push(0),
-            BuilderData::Real(v) => v.push(0.0),
-            BuilderData::Text(v) => v.push(String::new()),
-            BuilderData::Mixed(v) => v.push(Value::Null),
-        }
-    }
-
-    /// Appends one value, specializing or degrading the builder as needed.
-    pub fn push(&mut self, v: &Value) {
-        match v {
-            Value::Null => self.push_null(),
-            Value::Integer(i) => {
-                match &mut self.data {
-                    BuilderData::Untyped => {
-                        let mut vals = vec![0i64; self.nulls.len()];
-                        vals.push(*i);
-                        self.data = BuilderData::Int(vals);
-                    }
-                    BuilderData::Int(vals) => vals.push(*i),
-                    BuilderData::Mixed(vals) => vals.push(Value::Integer(*i)),
-                    BuilderData::Real(_) | BuilderData::Text(_) => {
-                        self.degrade_to_mixed();
-                        self.push(v);
-                        return;
-                    }
-                }
-                self.nulls.push(false);
-            }
-            Value::Real(r) => {
-                match &mut self.data {
-                    BuilderData::Untyped => {
-                        let mut vals = vec![0.0f64; self.nulls.len()];
-                        vals.push(*r);
-                        self.data = BuilderData::Real(vals);
-                    }
-                    BuilderData::Real(vals) => vals.push(*r),
-                    BuilderData::Mixed(vals) => vals.push(Value::Real(*r)),
-                    BuilderData::Int(_) | BuilderData::Text(_) => {
-                        self.degrade_to_mixed();
-                        self.push(v);
-                        return;
-                    }
-                }
-                self.nulls.push(false);
-            }
-            Value::Text(s) => {
-                match &mut self.data {
-                    BuilderData::Untyped => {
-                        let mut vals = vec![String::new(); self.nulls.len()];
-                        vals.push(s.clone());
-                        self.data = BuilderData::Text(vals);
-                    }
-                    BuilderData::Text(vals) => vals.push(s.clone()),
-                    BuilderData::Mixed(vals) => vals.push(Value::Text(s.clone())),
-                    BuilderData::Int(_) | BuilderData::Real(_) => {
-                        self.degrade_to_mixed();
-                        self.push(v);
-                        return;
-                    }
-                }
-                self.nulls.push(false);
-            }
-        }
-    }
-
-    /// Copies row `i` of `col` into the builder without a `Value` round trip
-    /// when the types line up.
-    pub fn push_from(&mut self, col: &ColumnArray, i: usize) {
-        if col.is_null(i) {
-            self.push_null();
-            return;
-        }
-        match (&mut self.data, col) {
-            (BuilderData::Int(vals), ColumnArray::Int { values, .. }) => {
-                vals.push(values[i]);
-                self.nulls.push(false);
-            }
-            (BuilderData::Real(vals), ColumnArray::Real { values, .. }) => {
-                vals.push(values[i]);
-                self.nulls.push(false);
-            }
-            (BuilderData::Text(vals), ColumnArray::Text { values, .. }) => {
-                vals.push(values[i].clone());
-                self.nulls.push(false);
-            }
-            _ => self.push(&col.value_at(i)),
-        }
-    }
-
-    /// Appends every row of `col`; typed same-class appends are bulk copies.
-    pub fn extend_from(&mut self, col: &ColumnArray) {
-        // Specialize an untyped builder to the incoming column's class first
-        // so the bulk paths below apply (placeholder backfill included).
-        if matches!(self.data, BuilderData::Untyped) && !col.is_empty() {
-            match col {
-                ColumnArray::Int { .. } => self.data = BuilderData::Int(vec![0; self.nulls.len()]),
-                ColumnArray::Real { .. } => {
-                    self.data = BuilderData::Real(vec![0.0; self.nulls.len()])
-                }
-                ColumnArray::Text { .. } => {
-                    self.data = BuilderData::Text(vec![String::new(); self.nulls.len()])
-                }
-                ColumnArray::Mixed { .. } => {
-                    self.degrade_to_mixed();
-                }
-            }
-        }
-        match (&mut self.data, col) {
-            (BuilderData::Int(vals), ColumnArray::Int { values, nulls }) => {
-                vals.extend_from_slice(values);
-                self.nulls.extend(nulls);
-            }
-            (BuilderData::Real(vals), ColumnArray::Real { values, nulls }) => {
-                vals.extend_from_slice(values);
-                self.nulls.extend(nulls);
-            }
-            (BuilderData::Text(vals), ColumnArray::Text { values, nulls }) => {
-                vals.extend_from_slice(values);
-                self.nulls.extend(nulls);
-            }
-            _ => {
-                for i in 0..col.len() {
-                    self.push_from(col, i);
-                }
-            }
-        }
-    }
-
-    fn degrade_to_mixed(&mut self) {
-        let n = self.nulls.len();
-        let vals: Vec<Value> = match std::mem::replace(&mut self.data, BuilderData::Untyped) {
-            BuilderData::Untyped => vec![Value::Null; n],
-            BuilderData::Int(v) => (0..n)
-                .map(|i| if self.nulls.is_null(i) { Value::Null } else { Value::Integer(v[i]) })
-                .collect(),
-            BuilderData::Real(v) => (0..n)
-                .map(|i| if self.nulls.is_null(i) { Value::Null } else { Value::Real(v[i]) })
-                .collect(),
-            BuilderData::Text(v) => {
-                let mut out = Vec::with_capacity(n);
-                for (i, s) in v.into_iter().enumerate() {
-                    out.push(if self.nulls.is_null(i) { Value::Null } else { Value::Text(s) });
-                }
-                out
-            }
-            BuilderData::Mixed(v) => v,
-        };
-        self.data = BuilderData::Mixed(vals);
-    }
-
-    /// Finalizes the builder into a [`ColumnArray`].
-    pub fn finish(self) -> ColumnArray {
-        match self.data {
-            // All-NULL columns are represented as Int with an all-set bitmap;
-            // the class never matters because every read checks the bitmap.
-            BuilderData::Untyped => {
-                ColumnArray::Int { values: vec![0; self.nulls.len()], nulls: self.nulls }
-            }
-            BuilderData::Int(values) => ColumnArray::Int { values, nulls: self.nulls },
-            BuilderData::Real(values) => ColumnArray::Real { values, nulls: self.nulls },
-            BuilderData::Text(values) => ColumnArray::Text { values, nulls: self.nulls },
-            BuilderData::Mixed(values) => ColumnArray::Mixed { values },
-        }
-    }
-}
-
 /// A batch of rows in columnar layout. `rows` is explicit so zero-width
 /// chunks (a FROM-less `SELECT`'s single conceptual row) still carry a row
 /// count.
@@ -529,18 +419,31 @@ impl DataChunk {
     /// Builds a chunk from row-oriented data; `width` disambiguates the
     /// zero-row case.
     pub fn from_rows(width: usize, rows: &[Vec<Value>]) -> DataChunk {
-        let mut builders: Vec<ArrayBuilder> =
-            (0..width).map(|_| ArrayBuilder::with_capacity(rows.len())).collect();
+        let mut chunk = DataChunk { columns: vec![ColumnArray::default(); width], rows: 0 };
         for row in rows {
-            debug_assert_eq!(row.len(), width);
-            for (b, v) in builders.iter_mut().zip(row) {
-                b.push(v);
-            }
+            chunk.push_row(row.iter().cloned());
         }
-        DataChunk {
-            columns: builders.into_iter().map(ArrayBuilder::finish).collect(),
-            rows: rows.len(),
+        chunk
+    }
+
+    /// Appends one row, its values moved into the columns in order.
+    pub fn push_row(&mut self, row: impl IntoIterator<Item = Value>) {
+        let mut width = 0;
+        for (col, v) in self.columns.iter_mut().zip(row) {
+            col.push(v);
+            width += 1;
         }
+        debug_assert_eq!(width, self.width());
+        self.rows += 1;
+    }
+
+    /// Appends row `i` of `src`, a chunk of the same width, cell by cell.
+    pub fn push_row_from(&mut self, src: &DataChunk, i: usize) {
+        debug_assert_eq!(src.width(), self.width());
+        for (col, from) in self.columns.iter_mut().zip(&src.columns) {
+            col.push_from(from, i);
+        }
+        self.rows += 1;
     }
 
     /// Materializes row `i` as owned values.
@@ -562,16 +465,15 @@ impl DataChunk {
     /// Concatenates chunks of identical width into one chunk. Columns whose
     /// storage classes disagree across chunks degrade to `Mixed`.
     pub fn concat(width: usize, chunks: &[DataChunk]) -> DataChunk {
-        let total: usize = chunks.iter().map(|c| c.rows).sum();
-        let mut builders: Vec<ArrayBuilder> =
-            (0..width).map(|_| ArrayBuilder::with_capacity(total)).collect();
+        let mut out = DataChunk::from_rows(width, &[]);
         for chunk in chunks {
             debug_assert_eq!(chunk.width(), width);
-            for (b, col) in builders.iter_mut().zip(&chunk.columns) {
-                b.extend_from(col);
+            for (col, from) in out.columns.iter_mut().zip(&chunk.columns) {
+                col.extend_from(from);
             }
+            out.rows += chunk.rows;
         }
-        DataChunk { columns: builders.into_iter().map(ArrayBuilder::finish).collect(), rows: total }
+        out
     }
 }
 
@@ -720,8 +622,14 @@ pub fn chunks_to_rows(chunks: &[DataChunk]) -> Vec<Vec<Value>> {
 mod tests {
     use super::*;
 
-    fn roundtrip(vals: &[Value]) {
-        let col = ColumnArray::from_values(vals);
+    /// Pushes `vals` one by one onto an empty column and checks that every
+    /// cell reads back with its storage class, and that `push_from` copies
+    /// the column into the same class.
+    fn roundtrip(vals: &[Value]) -> ColumnArray {
+        let mut col = ColumnArray::default();
+        for v in vals {
+            col.push(v.clone());
+        }
         assert_eq!(col.len(), vals.len());
         for (i, v) in vals.iter().enumerate() {
             assert_eq!(col.is_null(i), v.is_null(), "null flag at {i}");
@@ -731,33 +639,55 @@ mod tests {
             assert!(got.grouping_eq(v), "value at {i}: {got:?} vs {v:?}");
             assert_eq!(col.truth_at(i), v.to_truth(), "truth at {i}");
         }
+        let mut copy = ColumnArray::default();
+        for i in 0..col.len() {
+            copy.push_from(&col, i);
+        }
+        assert_eq!(std::mem::discriminant(&copy), std::mem::discriminant(&col));
+        col
     }
 
     #[test]
     fn builder_specializes_and_roundtrips_each_class() {
-        roundtrip(&[Value::Integer(1), Value::Integer(-5), Value::Integer(0)]);
-        roundtrip(&[Value::Real(1.5), Value::Real(-0.0), Value::Real(f64::NAN)]);
-        roundtrip(&[Value::text("a"), Value::text(""), Value::text("0")]);
+        assert!(matches!(roundtrip(&[1.into(), (-5).into(), 0.into()]), ColumnArray::Int { .. }));
+        let reals = [Value::Real(1.5), Value::Real(-0.0), Value::Real(f64::NAN)];
+        assert!(matches!(roundtrip(&reals), ColumnArray::Real { .. }));
+        let texts = [Value::text("a"), Value::text(""), Value::text("0")];
+        assert!(matches!(roundtrip(&texts), ColumnArray::Text { .. }));
     }
 
     #[test]
     fn builder_backfills_leading_nulls() {
-        let vals = [Value::Null, Value::Null, Value::Integer(7), Value::Null];
-        let col = ColumnArray::from_values(&vals);
+        let col = roundtrip(&[Value::Null, Value::Null, Value::Integer(7), Value::Null]);
         assert!(matches!(col, ColumnArray::Int { .. }));
-        roundtrip(&vals);
     }
 
     #[test]
     fn builder_degrades_to_mixed_on_class_conflict() {
         // Int then Real must NOT merge: render distinguishes 2 from 2.0.
-        let vals = [Value::Integer(2), Value::Real(2.0), Value::Null, Value::text("2")];
-        let col = ColumnArray::from_values(&vals);
+        let col = roundtrip(&[Value::Integer(2), Value::Real(2.0), Value::Null, Value::text("2")]);
         assert!(matches!(col, ColumnArray::Mixed { .. }));
-        roundtrip(&vals);
         // Text then number degrades too, leading nulls preserved.
-        roundtrip(&[Value::Null, Value::text("x"), Value::Integer(1)]);
+        let col = roundtrip(&[Value::Null, Value::text("x"), Value::Integer(1)]);
+        assert!(matches!(col, ColumnArray::Mixed { .. }));
         roundtrip(&[Value::Real(0.5), Value::text("y")]);
+    }
+
+    #[test]
+    fn a_column_of_nulls_takes_the_class_of_its_first_value() {
+        // An empty column is Int, and so is one of NULLs only; neither
+        // conflicts with the first non-null value.
+        let col = roundtrip(&[Value::Null, Value::Null, Value::text("a")]);
+        assert!(matches!(col, ColumnArray::Text { .. }), "{col:?}");
+        let mut col = ColumnArray::default();
+        col.push_null();
+        col.push(Value::Real(0.5));
+        assert!(matches!(col, ColumnArray::Real { .. }), "{col:?}");
+        // A gathered column of NULLs holds no class either.
+        let mut nulls = ColumnArray::from_values(&[Value::text("a"), Value::Null]).gather(&[1]);
+        nulls.push(Value::Integer(3));
+        assert!(matches!(nulls, ColumnArray::Int { .. }), "{nulls:?}");
+        assert!(nulls.is_null(0));
     }
 
     #[test]
@@ -855,13 +785,20 @@ mod tests {
         assert!(matches!(merged.columns[0], ColumnArray::Int { .. }));
         assert_eq!(merged.row(2), vec![Value::Integer(3)]);
 
-        // An all-NULL chunk finishes as Int; concat with a Text chunk must
-        // still read back the original values.
+        // An all-NULL chunk is Int; concatenated with a Text chunk the
+        // column takes the Text class, as `from_rows` of the rows would.
         let nulls = DataChunk::from_rows(1, &[vec![Value::Null]]);
         let texts = DataChunk::from_rows(1, &[vec![Value::text("t")]]);
         let merged = DataChunk::concat(1, &[nulls, texts]);
+        assert!(matches!(merged.columns[0], ColumnArray::Text { .. }));
         assert!(merged.columns[0].is_null(0));
         assert_eq!(merged.columns[0].value_at(1), Value::text("t"));
+        let ints = DataChunk::from_rows(1, &[vec![Value::Integer(1)]]);
+        let texts = DataChunk::from_rows(1, &[vec![Value::text("t")]]);
+        assert!(matches!(
+            DataChunk::concat(1, &[ints, texts]).columns[0],
+            ColumnArray::Mixed { .. }
+        ));
 
         let empty = DataChunk::concat(2, &[]);
         assert_eq!(empty.rows(), 0);

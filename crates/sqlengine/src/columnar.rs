@@ -73,7 +73,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::ast::*;
-use crate::chunk::{chunk_rows, ArrayBuilder, ColumnArray, DataChunk, NullBitmap, SelChunk};
+use crate::chunk::{chunk_rows, ColumnArray, DataChunk, NullBitmap, SelChunk};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{
     agg_over_values, cast_value, order_key_output_column, select_is_grouped, Executor, Rel, Scope,
@@ -84,9 +84,9 @@ use crate::result::ResultSet;
 use crate::storage::{EqKeyMap, GroupKeyMap};
 use crate::value::{cmp_f64, like_match, ArithOp, CellRef, LikePattern, Truth, Value};
 
-/// A reference-counted immutable batch: scans hand out the table's cached
-/// snapshot chunks without copying, and filters that keep a whole chunk
-/// pass the same `Arc` through untouched.
+/// A reference-counted immutable batch: scans hand out the table's own
+/// chunks without copying, and filters that keep a whole chunk pass the
+/// same `Arc` through untouched.
 type SharedChunk = Arc<DataChunk>;
 
 /// Flattens the *live* rows of selection-carrying chunks back into row-major
@@ -111,8 +111,7 @@ fn gather_shared(
     width: usize,
     idx: &[usize],
 ) -> DataChunk {
-    let mut builders: Vec<ArrayBuilder> =
-        (0..width).map(|_| ArrayBuilder::with_capacity(idx.len())).collect();
+    let mut builders: Vec<ColumnArray> = vec![ColumnArray::default(); width];
     for &gi in idx {
         let k = offsets.partition_point(|&o| o <= gi) - 1;
         let local = gi - offsets[k];
@@ -120,7 +119,7 @@ fn gather_shared(
             b.push_from(&chunks[k].columns[ci], local);
         }
     }
-    DataChunk::new(builders.into_iter().map(ArrayBuilder::finish).collect(), idx.len())
+    DataChunk::new(builders, idx.len())
 }
 
 /// [`Value::sql_cmp`], cell-for-cell, without materializing values: `None`
@@ -375,10 +374,10 @@ impl<'c> Operand<'c> {
     }
 
     /// Appends row `i` to `b`.
-    fn push_to(&self, b: &mut ArrayBuilder, i: usize) {
+    fn push_to(&self, b: &mut ColumnArray, i: usize) {
         match self {
             Operand::Col(c) => b.push_from(c, i),
-            Operand::Scalar(v) => b.push(v),
+            Operand::Scalar(v) => b.push(v.as_ref().clone()),
         }
     }
 
@@ -675,11 +674,11 @@ fn arith_batch(
             Ok(Operand::col(ColumnArray::Real { values, nulls }))
         }
         _ => {
-            let mut b = ArrayBuilder::with_capacity(n);
+            let mut b = ColumnArray::default();
             for i in 0..n {
-                b.push(&l.value_cow(i).arith(op, &r.value_cow(i))?);
+                b.push(l.value_cow(i).arith(op, &r.value_cow(i))?);
             }
-            Ok(Operand::col(b.finish()))
+            Ok(Operand::col(b))
         }
     }
 }
@@ -882,7 +881,7 @@ impl AggAcc {
                 ColumnArray::Int { values: counts, nulls: NullBitmap::new_valid(n) }
             }
             AggAcc::Sum { avg, counts, isum, fsum, all_int } => {
-                let mut b = ArrayBuilder::with_capacity(counts.len());
+                let mut b = ColumnArray::default();
                 for g in 0..counts.len() {
                     let v = if counts[g] == 0 {
                         Value::Null
@@ -894,23 +893,23 @@ impl AggAcc {
                     } else {
                         Value::Real(fsum[g])
                     };
-                    b.push(&v);
-                }
-                b.finish()
-            }
-            AggAcc::MinMax { best, .. } => {
-                let mut b = ArrayBuilder::with_capacity(best.len());
-                for v in &best {
                     b.push(v);
                 }
-                b.finish()
+                b
+            }
+            AggAcc::MinMax { best, .. } => {
+                let mut b = ColumnArray::default();
+                for v in best {
+                    b.push(v);
+                }
+                b
             }
             AggAcc::Distinct { kind, vals } => {
-                let mut b = ArrayBuilder::with_capacity(vals.len());
+                let mut b = ColumnArray::default();
                 for group_vals in vals {
-                    b.push(&agg_over_values(kind, true, group_vals));
+                    b.push(agg_over_values(kind, true, group_vals));
                 }
-                b.finish()
+                b
             }
         }
     }
@@ -1014,11 +1013,11 @@ impl<'a> Executor<'a> {
                         nulls: nulls.clone(),
                     },
                     _ => {
-                        let mut b = ArrayBuilder::with_capacity(n);
+                        let mut b = ColumnArray::default();
                         for i in 0..n {
-                            b.push(&c.value_at(i).arith(ArithOp::Mul, &Value::Integer(-1))?);
+                            b.push(c.value_at(i).arith(ArithOp::Mul, &Value::Integer(-1))?);
                         }
-                        b.finish()
+                        b
                     }
                 }),
             },
@@ -1076,22 +1075,22 @@ impl<'a> Executor<'a> {
                 for a in args {
                     arg_cols.push(batch!(a));
                 }
-                let mut b = ArrayBuilder::with_capacity(n);
+                let mut b = ColumnArray::default();
                 let mut vals = Vec::with_capacity(args.len());
                 for i in 0..n {
                     vals.clear();
                     vals.extend(arg_cols.iter().map(|c| c.value_at(i)));
-                    b.push(&eval_scalar_function(name, &vals)?);
+                    b.push(eval_scalar_function(name, &vals)?);
                 }
-                Operand::col(b.finish())
+                Operand::col(b)
             }
             Expr::Cast { expr, target } => {
                 let c = batch!(expr);
-                let mut b = ArrayBuilder::with_capacity(n);
+                let mut b = ColumnArray::default();
                 for i in 0..n {
-                    b.push(&cast_value(&c.value_cow(i), *target));
+                    b.push(cast_value(&c.value_cow(i), *target));
                 }
-                Operand::col(b.finish())
+                Operand::col(b)
             }
             Expr::Case { operand, branches, else_branch } => {
                 let op_col = match operand {
@@ -1106,7 +1105,7 @@ impl<'a> Executor<'a> {
                     Some(e) => Some(batch!(e)),
                     None => None,
                 };
-                let mut b = ArrayBuilder::with_capacity(n);
+                let mut b = ColumnArray::default();
                 for i in 0..n {
                     let hit = branch_cols.iter().find(|(wc, _)| match &op_col {
                         Some(oc) => {
@@ -1120,7 +1119,7 @@ impl<'a> Executor<'a> {
                         (None, None) => b.push_null(),
                     }
                 }
-                Operand::col(b.finish())
+                Operand::col(b)
             }
         };
         self.stats.evaluations += n as u64;
@@ -1128,13 +1127,10 @@ impl<'a> Executor<'a> {
     }
 
     /// Applies one predicate to every chunk by *refining its selection
-    /// vector* — no rows are moved. A batch-evaluable predicate evaluates
-    /// over all physical rows (dead-row evaluation is safe; see the module
-    /// docs) and intersects the truth column with the live set; anything
-    /// else evaluates row-at-a-time over the live rows only (counted once
-    /// per predicate in `columnar_fallbacks`). Consecutive predicates refine
-    /// the same selection — a fused conjunctive filter. Chunks refined to
-    /// emptiness are dropped, and chunks whose selectivity falls below the
+    /// vector* ([`Executor::refine_selection`]) — no rows are moved.
+    /// Consecutive predicates refine the same selection — a fused
+    /// conjunctive filter. Chunks refined to emptiness are dropped, and
+    /// chunks whose selectivity falls below the
     /// [`crate::chunk::SELECTION_COMPACT_DENOM`] threshold are compacted
     /// early so later operators stop paying for dead rows.
     fn filter_chunks(
@@ -1144,37 +1140,11 @@ impl<'a> Executor<'a> {
         pred: &Expr,
         outer: Option<&Scope<'_>>,
     ) -> SqlResult<Vec<SelChunk>> {
-        let batch_ok = is_batch_evaluable(pred, cols);
-        if !batch_ok {
-            self.stats.columnar_fallbacks += 1;
-        }
+        let batch_ok = self.batch_predicate(pred, cols);
         let mut out = Vec::with_capacity(chunks.len());
         let mut rowbuf: Vec<Value> = Vec::new();
         for mut sc in chunks {
-            let chunk = Arc::clone(sc.shared());
-            let col = if batch_ok { self.try_eval_batch(pred, &chunk, cols)? } else { None };
-            match col {
-                // A truth column (every predicate kernel's output) is read
-                // as its typed values.
-                Some(Operand::Col(c)) => match c.as_ref() {
-                    ColumnArray::Int { values, nulls } => {
-                        sc.refine(|i| values[i] != 0 && !nulls.is_null(i))
-                    }
-                    other => sc.refine(|i| other.truth_at(i).is_true()),
-                },
-                Some(scalar) => sc.refine(|_| scalar.truth_at(0).is_true()),
-                None => {
-                    let mut kept: Vec<u32> = Vec::with_capacity(sc.live_rows());
-                    for i in sc.live_iter() {
-                        chunk.read_row_into(i, &mut rowbuf);
-                        let scope = Scope { cols, row: &rowbuf, parent: outer };
-                        if self.eval(pred, &scope, None)?.to_truth().is_true() {
-                            kept.push(i as u32);
-                        }
-                    }
-                    sc.set_selection(kept);
-                }
-            }
+            self.refine_selection(&mut sc, cols, pred, batch_ok, outer, &mut rowbuf)?;
             if sc.live_rows() == 0 {
                 continue;
             }
@@ -1186,8 +1156,85 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
+    /// The positions of the rows of `chunks` — a table's storage, in order —
+    /// that satisfy `pred` (every row without one), ascending. Each chunk's
+    /// selection is refined exactly as a scan's filter refines it. The write
+    /// planner resolves the `WHERE` of UPDATE and DELETE through this.
+    pub(crate) fn matching_rows(
+        &mut self,
+        chunks: &[SharedChunk],
+        cols: &[ColInfo],
+        pred: Option<&Expr>,
+    ) -> SqlResult<Vec<usize>> {
+        let batch_ok = pred.is_some_and(|p| self.batch_predicate(p, cols));
+        let mut out = Vec::new();
+        let mut rowbuf: Vec<Value> = Vec::new();
+        let mut offset = 0;
+        for chunk in chunks {
+            let mut sc = SelChunk::all(Arc::clone(chunk));
+            if let Some(pred) = pred {
+                self.refine_selection(&mut sc, cols, pred, batch_ok, None, &mut rowbuf)?;
+            }
+            out.extend(sc.live_iter().map(|i| offset + i));
+            offset += chunk.rows();
+        }
+        Ok(out)
+    }
+
+    /// Whether `pred` runs on batch kernels over `cols`; a predicate that
+    /// does not counts once in `columnar_fallbacks`, however many chunks it
+    /// then filters row by row.
+    fn batch_predicate(&mut self, pred: &Expr, cols: &[ColInfo]) -> bool {
+        let batch_ok = is_batch_evaluable(pred, cols);
+        if !batch_ok {
+            self.stats.columnar_fallbacks += 1;
+        }
+        batch_ok
+    }
+
+    /// Narrows `sc`'s live rows to those satisfying `pred`. A batch-evaluable
+    /// predicate (`batch_ok`) evaluates over all physical rows (dead-row
+    /// evaluation is safe; see the module docs) and intersects the truth
+    /// column with the live set; anything else evaluates row-at-a-time over
+    /// the live rows only, reading each into `rowbuf`.
+    fn refine_selection(
+        &mut self,
+        sc: &mut SelChunk,
+        cols: &[ColInfo],
+        pred: &Expr,
+        batch_ok: bool,
+        outer: Option<&Scope<'_>>,
+        rowbuf: &mut Vec<Value>,
+    ) -> SqlResult<()> {
+        let chunk = Arc::clone(sc.shared());
+        let col = if batch_ok { self.try_eval_batch(pred, &chunk, cols)? } else { None };
+        match col {
+            // A truth column (every predicate kernel's output) is read as
+            // its typed values.
+            Some(Operand::Col(c)) => match c.as_ref() {
+                ColumnArray::Int { values, nulls } => {
+                    sc.refine(|i| values[i] != 0 && !nulls.is_null(i))
+                }
+                other => sc.refine(|i| other.truth_at(i).is_true()),
+            },
+            Some(scalar) => sc.refine(|_| scalar.truth_at(0).is_true()),
+            None => {
+                let mut kept: Vec<u32> = Vec::with_capacity(sc.live_rows());
+                for i in sc.live_iter() {
+                    chunk.read_row_into(i, rowbuf);
+                    let scope = Scope { cols, row: rowbuf, parent: outer };
+                    if self.eval(pred, &scope, None)?.to_truth().is_true() {
+                        kept.push(i as u32);
+                    }
+                }
+                sc.set_selection(kept);
+            }
+        }
+        Ok(())
+    }
+
     /// Tallies the batches flowing out of an operator in
-    /// [`crate::ExecStats`] — cached snapshot chunks count on every
+    /// [`crate::ExecStats`] — a table's shared chunks count on every
     /// execution, so the counters stay per-statement deterministic. Rows are
     /// counted live (operators emit all-live chunks, so this matches the
     /// physical count at every call site).
@@ -1247,28 +1294,21 @@ impl<'a> Executor<'a> {
                     .iter()
                     .map(|c| ColInfo { quals: quals.clone(), name: c.name.clone() })
                     .collect();
-                // Full scans hand out the table's cached columnar snapshot
-                // (`Arc`-shared, built once per table version) — repeated
-                // scans never re-transpose row storage.
-                let shared: Vec<SharedChunk> = match lookup {
-                    Some(l) => match t.pk_lookup(&l.value) {
+                // Full scans hand out the table's own chunks (`Arc`-shared,
+                // never copied); a PK lookup reads its rows out of them.
+                let shared: Vec<SharedChunk> =
+                    match lookup.as_ref().and_then(|l| t.pk_lookup(&l.value)) {
                         Some(row_ids) => {
                             self.stats.index_lookups += 1;
                             self.stats.rows_scanned += row_ids.len() as u64;
-                            let rows: Vec<Vec<Value>> =
-                                row_ids.iter().map(|&i| t.rows()[i].clone()).collect();
+                            let rows: Vec<Vec<Value>> = row_ids.iter().map(|&i| t.row(i)).collect();
                             chunk_rows(cols.len(), &rows).into_iter().map(Arc::new).collect()
                         }
                         None => {
-                            self.stats.rows_scanned += t.rows().len() as u64;
-                            t.columnar_chunks()
+                            self.stats.rows_scanned += t.len() as u64;
+                            t.columnar_chunks().to_vec()
                         }
-                    },
-                    None => {
-                        self.stats.rows_scanned += t.rows().len() as u64;
-                        t.columnar_chunks()
-                    }
-                };
+                    };
                 let mut chunks: Vec<SelChunk> = shared.into_iter().map(SelChunk::all).collect();
                 self.count_batches(&chunks);
                 for pred in pushed {
@@ -1390,8 +1430,8 @@ impl<'a> Executor<'a> {
                         // Left join: walk left rows in order, padding the
                         // right side with NULLs when nothing survived.
                         (JoinKind::Left, _) => {
-                            let mut builders: Vec<ArrayBuilder> =
-                                (0..cols.len()).map(|_| ArrayBuilder::new()).collect();
+                            let mut builders: Vec<ColumnArray> =
+                                vec![ColumnArray::default(); cols.len()];
                             let mut rows = 0usize;
                             for (i, &(s, e)) in ranges.iter().enumerate() {
                                 let mut matched = false;
@@ -1415,10 +1455,7 @@ impl<'a> Executor<'a> {
                                     rows += 1;
                                 }
                             }
-                            DataChunk::new(
-                                builders.into_iter().map(ArrayBuilder::finish).collect(),
-                                rows,
-                            )
+                            DataChunk::new(builders, rows)
                         }
                     };
                     if !out.is_empty() {
@@ -1814,8 +1851,7 @@ impl<'a> Executor<'a> {
 
         // --- Pass 3: the group table — one representative (first-member)
         // row per group, over which per-group expressions batch-evaluate.
-        let mut builders: Vec<ArrayBuilder> =
-            (0..cols.len()).map(|_| ArrayBuilder::with_capacity(n_groups)).collect();
+        let mut builders: Vec<ColumnArray> = vec![ColumnArray::default(); cols.len()];
         for g in 0..n_groups {
             if group_sizes[g] == 0 {
                 // The empty global group of a zero-row ungrouped aggregate:
@@ -1831,8 +1867,7 @@ impl<'a> Executor<'a> {
                 b.push_from(&chunks[k].columns[ci], gi - offsets[k]);
             }
         }
-        let rep =
-            DataChunk::new(builders.into_iter().map(ArrayBuilder::finish).collect(), n_groups);
+        let rep = DataChunk::new(builders, n_groups);
 
         // --- Pass 4: HAVING, then projections, over the group table.
         // HAVING evaluates every group (as the row path does); projections
@@ -1934,15 +1969,14 @@ impl<'a> Executor<'a> {
         cols: &[ColInfo],
         outer: Option<&Scope<'_>>,
     ) -> SqlResult<ColumnArray> {
-        let mut b = ArrayBuilder::with_capacity(chunk.rows());
+        let mut b = ColumnArray::default();
         let mut rowbuf: Vec<Value> = Vec::new();
         for i in 0..chunk.rows() {
             chunk.read_row_into(i, &mut rowbuf);
             let scope = Scope { cols, row: &rowbuf, parent: outer };
-            let v = self.eval(expr, &scope, None)?;
-            b.push(&v);
+            b.push(self.eval(expr, &scope, None)?);
         }
-        Ok(b.finish())
+        Ok(b)
     }
 
     /// Evaluates one per-group expression (HAVING, a projection, an ORDER BY
@@ -1969,7 +2003,7 @@ impl<'a> Executor<'a> {
             }
         }
         self.stats.columnar_fallbacks += 1;
-        let mut b = ArrayBuilder::with_capacity(rep.rows());
+        let mut b = ColumnArray::default();
         let mut rowbuf: Vec<Value> = Vec::new();
         for g in 0..rep.rows() {
             if keep.is_some_and(|k| !k[g]) {
@@ -1985,9 +2019,9 @@ impl<'a> Executor<'a> {
             let saved = self.agg_overrides.replace(ov);
             let r = self.eval(expr, &scope, None);
             self.agg_overrides = saved;
-            b.push(&r?);
+            b.push(r?);
         }
-        Ok(Operand::col(b.finish()))
+        Ok(Operand::col(b))
     }
 }
 
@@ -2256,10 +2290,10 @@ mod tests {
                 );
                 assert!(same_value(&scalar.take_at(i), &col.take_at(i)));
             }
-            let (mut a, mut b) = (ArrayBuilder::new(), ArrayBuilder::new());
+            let (mut a, mut b) = (ColumnArray::default(), ColumnArray::default());
             scalar.push_to(&mut a, 0);
             col.push_to(&mut b, 0);
-            assert!(same_value(&a.finish().value_at(0), &b.finish().value_at(0)));
+            assert!(same_value(&a.value_at(0), &b.value_at(0)));
         }
     }
 

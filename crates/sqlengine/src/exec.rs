@@ -123,10 +123,11 @@ pub fn execute_select_profiled(
 
 /// Executes any supported statement, applying DDL/DML to the database.
 ///
-/// Writes go through the commit planner ([`crate::mutate::plan_mutation`]
-/// and [`crate::mutate::apply_planned`]) and replace `db` only when the
-/// whole statement succeeds: a failing row (arity, evaluation error, key
-/// collision) leaves `db` as it was.
+/// Writes go through the commit planner ([`crate::mutate::plan_mutation`])
+/// and are applied to `db` in place, copying a table only when another
+/// snapshot shares it. A statement changes `db` only when it succeeds as a
+/// whole: a failing row (arity, evaluation error, key collision) leaves
+/// `db` as it was.
 pub fn execute_statement(db: &mut Database, sql: &str) -> SqlResult<ResultSet> {
     let stmt = crate::parser::parse_statement(sql)?;
     match stmt {
@@ -140,9 +141,8 @@ pub fn execute_statement(db: &mut Database, sql: &str) -> SqlResult<ResultSet> {
         | Statement::Update(_)
         | Statement::Delete(_) => {
             let planned = crate::mutate::plan_mutation(db, &stmt)?;
-            let outcome = crate::mutate::apply_planned(db, planned)?;
-            *db = outcome.db;
-            Ok(outcome.result)
+            let (_, kind, rows) = crate::mutate::apply_in_place(db, planned)?;
+            Ok(crate::mutate::mutation_result(kind, rows))
         }
     }
 }
@@ -729,7 +729,7 @@ impl<'a> Executor<'a> {
                     .iter()
                     .map(|c| ColInfo { quals: quals.clone(), name: c.name.clone() })
                     .collect();
-                self.stats.rows_scanned += t.rows().len() as u64;
+                self.stats.rows_scanned += t.len() as u64;
                 Ok(Rel { cols, rows: t.rows().to_vec() })
             }
             TableRef::Derived { query, alias } => {

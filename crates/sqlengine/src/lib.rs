@@ -56,8 +56,8 @@
 //!
 //! [`plan::PlanMode::Columnar`] executes the physical plans over
 //! [`chunk::DataChunk`] batches of typed [`chunk::ColumnArray`]s
-//! (fixed [`chunk::BATCH_SIZE`], null bitmaps): scans slice tables into
-//! chunks, filters run batch predicate kernels, hash joins build and probe
+//! (fixed [`chunk::BATCH_SIZE`], null bitmaps): scans hand out the chunks
+//! every [`Table`] is stored as, filters run batch predicate kernels, hash joins build and probe
 //! over column slices, and grouping hashes batch-evaluated key columns
 //! through the same [`storage::GroupKeyMap`]. Anything the batch layer
 //! cannot express (subqueries, outer references, nested aggregates,
@@ -124,7 +124,7 @@ pub mod token;
 pub mod value;
 
 pub use ast::QueryId;
-pub use chunk::{ArrayBuilder, ColumnArray, DataChunk, NullBitmap, BATCH_SIZE};
+pub use chunk::{ColumnArray, DataChunk, NullBitmap, BATCH_SIZE};
 pub use decorrelate::{decorrelate, DecorrelatedKind, DecorrelatedSubquery, SubqueryPosition};
 pub use error::{SqlError, SqlResult};
 pub use exec::{

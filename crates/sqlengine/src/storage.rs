@@ -1,12 +1,20 @@
-//! Row storage: in-memory tables and databases, plus the hash indexes the
-//! physical planner uses for primary-key point lookups and hash joins.
+//! Table storage: in-memory tables, each stored as a list of shared
+//! columnar [`DataChunk`]s, and the databases that snapshot them, plus the
+//! hash indexes the physical planner uses for primary-key point lookups and
+//! hash joins.
+//!
+//! A table's chunks are its only copy of the data. Scans hand them out by
+//! reference, writes copy or rebuild just the chunks they touch, and a
+//! database clone shares every table — so a snapshot costs pointer copies
+//! and a commit copies one table's chunk list and PK index. Row-shaped
+//! access ([`Table::row`], [`Table::rows`]) reads out of the chunks.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
 
-use crate::chunk::{chunk_rows, DataChunk, BATCH_SIZE};
+use crate::chunk::{DataChunk, BATCH_SIZE};
 use crate::error::{SqlError, SqlResult};
 use crate::schema::{DataType, DatabaseSchema, TableSchema};
 use crate::value::{CellRef, Value};
@@ -610,40 +618,32 @@ impl ValueSample {
     }
 }
 
-/// An in-memory table: schema, row store, and (when the schema declares a
-/// single-column primary key) a hash index over that key, maintained
-/// incrementally on every mutation.
+/// An in-memory table: schema, rows stored as shared columnar chunks, and
+/// (when the schema declares a single-column primary key) a hash index over
+/// that key, maintained incrementally on every mutation.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub schema: TableSchema,
-    /// Row store. Private so every mutation flows through [`Table::insert`],
-    /// [`Table::update_rows`], or [`Table::delete_rows`], which keep the PK
-    /// hash index and the columnar snapshot in sync and drop the value
-    /// sample; read access is via [`Table::rows`].
-    rows: Vec<Row>,
+    /// The rows in insertion order, [`BATCH_SIZE`] per chunk except the
+    /// last, which is never empty: row `p` is row `p % BATCH_SIZE` of chunk
+    /// `p / BATCH_SIZE`. Every columnar scan hands these out by reference.
+    /// Cloning a table (a database snapshot) shares them; a mutation copies
+    /// a shared chunk before changing it ([`Arc::make_mut`]) or replaces it,
+    /// so a chunk a snapshot holds never changes. Private so every mutation
+    /// flows through [`Table::insert_many`], [`Table::update_rows`] or
+    /// [`Table::delete_rows`], which keep the PK index in step.
+    chunks: Vec<Arc<DataChunk>>,
     pk_col: Option<usize>,
     pk_index: EqKeyMap,
-    /// Mutation epoch: bumped once by every mutation entry point (`rows` is
-    /// private, so every write flows through one). This is the table's
-    /// *version* for snapshot bookkeeping — serve-side caches key entries by
-    /// it, and distinct values witness distinct row stores. The columnar
-    /// snapshot records the generation it was built at, and
-    /// [`Table::columnar_chunks`] asserts the two still agree at every
-    /// borrow, so a mutation path added without maintenance fails loudly
-    /// instead of serving stale chunks.
+    /// Mutation epoch, bumped once by every mutation: the table's *version*
+    /// for snapshot bookkeeping. Serve-side caches key entries by it, and
+    /// distinct values witness distinct contents.
     generation: u64,
-    /// Lazily built columnar snapshot of the row store, shared with every
-    /// columnar scan ([`Table::columnar_chunks`]). Mutations maintain it
-    /// *incrementally* when it exists — inserts re-transpose only the
-    /// trailing partial chunk, updates only the chunks containing changed
-    /// rows, deletes only the suffix from the first deleted position — and
-    /// re-stamp it with the new generation, so a prepared statement cached
-    /// across a commit re-snapshots instead of panicking. Cloning a table
-    /// (database snapshots) shares the already-built chunks; they are
-    /// immutable, so sharing is sound.
-    chunks: OnceLock<(u64, Vec<Arc<DataChunk>>)>,
-    /// Lazily built value sample ([`Table::value_sample`]). Clones share it
-    /// as they share the chunks; every mutation entry point drops it.
+    /// Lazily built row view ([`Table::rows`]). Clones share it; every
+    /// mutation drops it.
+    rows: OnceLock<Arc<Vec<Row>>>,
+    /// Lazily built value sample ([`Table::value_sample`]). Clones share it;
+    /// every mutation drops it.
     value_sample: OnceLock<Arc<ValueSample>>,
 }
 
@@ -660,105 +660,200 @@ impl Table {
         let pk_col = if pk_cols.len() == 1 { Some(pk_cols[0]) } else { None };
         Table {
             schema,
-            rows: Vec::new(),
+            chunks: Vec::new(),
             pk_col,
             pk_index: EqKeyMap::default(),
             generation: 0,
-            chunks: OnceLock::new(),
+            rows: OnceLock::new(),
             value_sample: OnceLock::new(),
         }
     }
 
-    /// Appends a row, validating arity and primary-key uniqueness and
-    /// maintaining the PK index. A key `sql_cmp`-equal to a stored one is
-    /// rejected before anything changes; NULL keys are not indexed and never
-    /// collide. If a columnar snapshot exists, only the trailing partial
-    /// chunk is re-transposed; full chunks before it are shared untouched.
+    /// Appends a row; see [`Table::insert_many`].
     pub fn insert(&mut self, row: Row) -> SqlResult<()> {
-        if row.len() != self.schema.columns.len() {
-            return Err(SqlError::Schema(format!(
-                "insert into {} expected {} values, got {}",
-                self.schema.name,
-                self.schema.columns.len(),
-                row.len()
-            )));
+        self.insert_many(vec![row])
+    }
+
+    /// Appends rows, all or nothing. Before anything changes, every row's
+    /// arity is checked and every primary key is probed against the stored
+    /// keys and the keys before it in `rows`: a key `sql_cmp`-equal to one
+    /// of those is rejected. NULL keys are not indexed and never collide.
+    /// Rows go into the last chunk until it is full, then into a new one.
+    /// Bumps the generation once per (non-empty) call.
+    pub fn insert_many(&mut self, rows: Vec<Row>) -> SqlResult<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        for row in &rows {
+            self.check_arity("insert into", row)?;
         }
         if let Some(pk) = self.pk_col {
-            if !self.pk_index.probe(&row[pk]).is_empty() {
-                return Err(self.pk_collision(pk, &row[pk]));
-            }
-            self.pk_index.insert(&row[pk], self.rows.len());
+            self.check_keys(pk, rows.iter().map(|r| &r[pk]), &[])?;
         }
-        self.rows.push(row);
-        self.generation += 1;
-        self.rechunk_suffix(self.rows.len() - 1);
-        self.value_sample.take();
+        for row in rows {
+            if let Some(pk) = self.pk_col {
+                self.pk_index.insert(&row[pk], self.len());
+            }
+            self.append(|chunk| chunk.push_row(row));
+        }
+        self.touch();
         Ok(())
     }
 
-    /// Replaces whole rows in place: `changes` maps row positions to their
-    /// new contents (each arity-validated). Before anything changes, the
-    /// new primary keys are checked against the table as it will be: a key
-    /// `sql_cmp`-equal to one a row keeps, or two updated rows meeting on
-    /// one key, is rejected, while a row keeping its own key or keys
-    /// swapped among the updated rows are fine. Positions are unchanged, so
-    /// PK maintenance is a per-row remove + insert and only the chunks
-    /// containing changed rows are re-transposed. Bumps the generation once
-    /// per (non-empty) call.
+    /// Replaces whole rows in place: `changes` maps row positions (strictly
+    /// ascending, in range) to their new contents (each arity-checked).
+    /// Before anything changes, the new primary keys are checked against the
+    /// table as it will be: a key `sql_cmp`-equal to one a row keeps, or two
+    /// updated rows meeting on one key, is rejected, while a row keeping its
+    /// own key or keys swapped among the updated rows are fine. Positions
+    /// are unchanged, so PK maintenance is a per-row remove + insert, and
+    /// only the chunks holding changed rows are rebuilt. Bumps the
+    /// generation once per (non-empty) call.
     pub fn update_rows(&mut self, changes: Vec<(usize, Row)>) -> SqlResult<()> {
         if changes.is_empty() {
             return Ok(());
         }
-        for (pos, row) in &changes {
-            if *pos >= self.rows.len() {
-                return Err(SqlError::Schema(format!(
-                    "update position {pos} out of range for {} ({} rows)",
-                    self.schema.name,
-                    self.rows.len()
-                )));
-            }
-            if row.len() != self.schema.columns.len() {
-                return Err(SqlError::Schema(format!(
-                    "update of {} expected {} values, got {}",
-                    self.schema.name,
-                    self.schema.columns.len(),
-                    row.len()
-                )));
-            }
+        self.check_positions("update", changes.iter().map(|(p, _)| *p))?;
+        for (_, row) in &changes {
+            self.check_arity("update of", row)?;
         }
         if let Some(pk) = self.pk_col {
-            self.check_update_keys(pk, &changes)?;
-        }
-        let dirty: Vec<usize> = changes.iter().map(|(p, _)| *p).collect();
-        for (pos, row) in changes {
-            if let Some(pk) = self.pk_col {
-                self.pk_index.remove(&self.rows[pos][pk], pos);
-                self.pk_index.insert(&row[pk], pos);
+            let updated: Vec<usize> = changes.iter().map(|(p, _)| *p).collect();
+            self.check_keys(pk, changes.iter().map(|(_, r)| &r[pk]), &updated)?;
+            for (pos, row) in &changes {
+                let old = self.chunks[pos / BATCH_SIZE].columns[pk].value_at(pos % BATCH_SIZE);
+                self.pk_index.remove(&old, *pos);
+                self.pk_index.insert(&row[pk], *pos);
             }
-            self.rows[pos] = row;
         }
-        self.generation += 1;
-        self.rechunk_at(&dirty);
-        self.value_sample.take();
+        let mut changes = changes.into_iter().peekable();
+        while let Some(&(first, _)) = changes.peek() {
+            let c = first / BATCH_SIZE;
+            let old = &self.chunks[c];
+            let mut rebuilt = DataChunk::from_rows(old.width(), &[]);
+            for i in 0..old.rows() {
+                match changes.next_if(|(p, _)| *p == c * BATCH_SIZE + i) {
+                    Some((_, row)) => rebuilt.push_row(row),
+                    None => rebuilt.push_row_from(old, i),
+                }
+            }
+            self.chunks[c] = Arc::new(rebuilt);
+        }
+        self.touch();
         Ok(())
     }
 
-    /// The key check of [`Table::update_rows`]: every new key is probed
-    /// against the rows the update leaves in place and against the new keys
-    /// before it, which is what re-inserting the updated table row by row
-    /// would find.
-    fn check_update_keys(&self, pk: usize, changes: &[(usize, Row)]) -> SqlResult<()> {
-        let mut updated: Vec<usize> = changes.iter().map(|(p, _)| *p).collect();
-        updated.sort_unstable();
+    /// Deletes the rows at `positions` (strictly ascending, in range). The
+    /// PK index is remapped through the compaction in one pass — no key is
+    /// rehashed — and the chunks are re-sliced from the one holding the
+    /// first deleted row; the chunks before it are kept as they are. Bumps
+    /// the generation once per (non-empty) call.
+    pub fn delete_rows(&mut self, positions: &[usize]) -> SqlResult<()> {
+        if positions.is_empty() {
+            return Ok(());
+        }
+        self.check_positions("delete", positions.iter().copied())?;
+        let mut doomed = positions.iter().copied().peekable();
+        let mut kept = 0usize;
+        let old_to_new: Vec<Option<usize>> = (0..self.len())
+            .map(|old| {
+                if doomed.next_if_eq(&old).is_some() {
+                    return None;
+                }
+                kept += 1;
+                Some(kept - 1)
+            })
+            .collect();
+        self.pk_index.remap(&old_to_new);
+        let tail = self.chunks.split_off(positions[0] / BATCH_SIZE);
+        let mut old = self.len();
+        for chunk in &tail {
+            for i in 0..chunk.rows() {
+                if old_to_new[old].is_some() {
+                    self.append(|into| into.push_row_from(chunk, i));
+                }
+                old += 1;
+            }
+        }
+        self.touch();
+        Ok(())
+    }
+
+    /// Appends one row to the last chunk, or to a new chunk when the last
+    /// is full; `push` writes the row. A chunk a snapshot shares is copied
+    /// first.
+    fn append(&mut self, push: impl FnOnce(&mut DataChunk)) {
+        if self.chunks.last().is_none_or(|c| c.rows() == BATCH_SIZE) {
+            self.chunks.push(Arc::new(DataChunk::from_rows(self.schema.columns.len(), &[])));
+        }
+        push(Arc::make_mut(self.chunks.last_mut().expect("a chunk was just ensured")));
+    }
+
+    /// The last step of every mutation: a new generation, and the views
+    /// built from the old contents dropped.
+    fn touch(&mut self) {
+        self.generation += 1;
+        self.rows.take();
+        self.value_sample.take();
+    }
+
+    fn check_arity(&self, op: &str, row: &Row) -> SqlResult<()> {
+        if row.len() == self.schema.columns.len() {
+            return Ok(());
+        }
+        Err(SqlError::Schema(format!(
+            "{op} {} expected {} values, got {}",
+            self.schema.name,
+            self.schema.columns.len(),
+            row.len()
+        )))
+    }
+
+    /// Rejects positions that are not strictly ascending or not below
+    /// [`Table::len`].
+    fn check_positions(&self, op: &str, positions: impl Iterator<Item = usize>) -> SqlResult<()> {
+        let mut prev: Option<usize> = None;
+        for p in positions {
+            if prev.is_some_and(|q| q >= p) {
+                return Err(SqlError::Schema(format!(
+                    "{op} positions for {} must be strictly ascending",
+                    self.schema.name
+                )));
+            }
+            if p >= self.len() {
+                return Err(SqlError::Schema(format!(
+                    "{op} position {p} out of range for {} ({} rows)",
+                    self.schema.name,
+                    self.len()
+                )));
+            }
+            prev = Some(p);
+        }
+        Ok(())
+    }
+
+    /// The key check of every write: each new key in `keys`, written over
+    /// the rows at `replaced` (ascending), is probed against the rows that
+    /// keep their keys and against the new keys before it, which is what
+    /// re-inserting the written table row by row would find.
+    fn check_keys<'k>(
+        &self,
+        pk: usize,
+        keys: impl ExactSizeIterator<Item = &'k Value>,
+        replaced: &[usize],
+    ) -> SqlResult<()> {
+        let last = keys.len().saturating_sub(1);
         let mut new_keys = EqKeyMap::default();
-        for (i, (_, row)) in changes.iter().enumerate() {
-            let key = &row[pk];
+        for (i, key) in keys.enumerate() {
             let hits_kept_row =
-                self.pk_index.probe(key).iter().any(|p| updated.binary_search(p).is_err());
+                self.pk_index.probe(key).iter().any(|p| replaced.binary_search(p).is_err());
             if hits_kept_row || !new_keys.probe(key).is_empty() {
                 return Err(self.pk_collision(pk, key));
             }
-            new_keys.insert(key, i);
+            // No key comes after the last one, so it need not be recorded.
+            if i < last {
+                new_keys.insert(key, i);
+            }
         }
         Ok(())
     }
@@ -772,100 +867,6 @@ impl Table {
         ))
     }
 
-    /// Deletes the rows at `positions` (strictly ascending, in range),
-    /// compacting the row store. The PK index is remapped through the
-    /// compaction in one pass — no key is rehashed — and the columnar
-    /// snapshot is re-transposed only from the chunk containing the first
-    /// deleted position. Bumps the generation once per (non-empty) call.
-    pub fn delete_rows(&mut self, positions: &[usize]) -> SqlResult<()> {
-        if positions.is_empty() {
-            return Ok(());
-        }
-        for w in positions.windows(2) {
-            if w[0] >= w[1] {
-                return Err(SqlError::Schema(format!(
-                    "delete positions for {} must be strictly ascending",
-                    self.schema.name
-                )));
-            }
-        }
-        if *positions.last().expect("non-empty") >= self.rows.len() {
-            return Err(SqlError::Schema(format!(
-                "delete position {} out of range for {} ({} rows)",
-                positions.last().expect("non-empty"),
-                self.schema.name,
-                self.rows.len()
-            )));
-        }
-        let mut old_to_new: Vec<Option<usize>> = Vec::with_capacity(self.rows.len());
-        let mut doomed = positions.iter().copied().peekable();
-        let mut kept = 0usize;
-        for old in 0..self.rows.len() {
-            if doomed.peek() == Some(&old) {
-                doomed.next();
-                old_to_new.push(None);
-            } else {
-                old_to_new.push(Some(kept));
-                kept += 1;
-            }
-        }
-        let mut i = 0;
-        self.rows.retain(|_| {
-            let keep = old_to_new[i].is_some();
-            i += 1;
-            keep
-        });
-        self.pk_index.remap(&old_to_new);
-        self.generation += 1;
-        self.rechunk_suffix(positions[0]);
-        self.value_sample.take();
-        Ok(())
-    }
-
-    /// Maintains the columnar snapshot after a mutation that left rows
-    /// before `first_dirty_row` untouched at their positions: chunks fully
-    /// below it are shared as-is, everything from its chunk on is
-    /// re-transposed from the (already mutated) row store. Without a built
-    /// snapshot this is a plain invalidation. Must run *after* the
-    /// generation bump — the rebuilt snapshot is stamped with the new
-    /// generation.
-    fn rechunk_suffix(&mut self, first_dirty_row: usize) {
-        let fresh = OnceLock::new();
-        if let Some((_, old)) = self.chunks.get() {
-            let keep = first_dirty_row / BATCH_SIZE;
-            let mut chunks: Vec<Arc<DataChunk>> = old.iter().take(keep).cloned().collect();
-            chunks.extend(
-                chunk_rows(self.schema.columns.len(), &self.rows[keep * BATCH_SIZE..])
-                    .into_iter()
-                    .map(Arc::new),
-            );
-            let _ = fresh.set((self.generation, chunks));
-        }
-        self.chunks = fresh;
-    }
-
-    /// Maintains the columnar snapshot after in-place updates: only the
-    /// chunks containing a dirty row are re-transposed; row count (and thus
-    /// chunk layout) is unchanged. Must run after the generation bump.
-    fn rechunk_at(&mut self, dirty_rows: &[usize]) {
-        let fresh = OnceLock::new();
-        if let Some((_, old)) = self.chunks.get() {
-            let mut chunks = old.clone();
-            let mut dirty: Vec<usize> = dirty_rows.iter().map(|p| p / BATCH_SIZE).collect();
-            dirty.sort_unstable();
-            dirty.dedup();
-            let width = self.schema.columns.len();
-            for c in dirty {
-                let lo = c * BATCH_SIZE;
-                let hi = (lo + BATCH_SIZE).min(self.rows.len());
-                let rebuilt = chunk_rows(width, &self.rows[lo..hi]);
-                chunks[c] = Arc::new(rebuilt.into_iter().next().expect("non-empty chunk range"));
-            }
-            let _ = fresh.set((self.generation, chunks));
-        }
-        self.chunks = fresh;
-    }
-
     /// The table's value sample: for each `Text` column, what
     /// `distinct_values(column, VALUE_SAMPLE_SIZE)` returns, each value
     /// rendered and lowercased. Built on first use and shared by every clone
@@ -875,40 +876,33 @@ impl Table {
         self.value_sample.get_or_init(|| Arc::new(ValueSample::build(self)))
     }
 
-    /// The table's mutation epoch — distinct values witness distinct row
-    /// stores. Exposed so tests can pin the snapshot-invalidation contract.
+    /// The table's mutation epoch — distinct values witness distinct
+    /// contents. Exposed so tests can pin the snapshot-invalidation contract.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// The table as a columnar snapshot: `BATCH_SIZE`-row [`DataChunk`]s in
-    /// insertion order, built once per table state and shared by reference
-    /// thereafter. This is what makes repeated columnar scans cheap — the
-    /// row store is transposed (every cell cloned) only on the first scan
-    /// after a write, not on every execution.
-    pub fn columnar_chunks(&self) -> Vec<Arc<DataChunk>> {
-        let (built_at, chunks) = self.chunks.get_or_init(|| {
-            (
-                self.generation,
-                chunk_rows(self.schema.columns.len(), &self.rows)
-                    .into_iter()
-                    .map(Arc::new)
-                    .collect(),
-            )
-        });
-        // A snapshot surviving a mutation means some write path skipped the
-        // invalidation in `insert` — refuse to serve it.
-        assert_eq!(
-            *built_at, self.generation,
-            "stale columnar snapshot for table {}: built at generation {} but table is at {}",
-            self.schema.name, built_at, self.generation
-        );
-        chunks.clone()
+    /// The table's storage: [`BATCH_SIZE`]-row [`DataChunk`]s (the last may
+    /// be shorter) in insertion order, `Arc`-shared with every snapshot of
+    /// this table state, so a scan hands them out without copying.
+    pub fn columnar_chunks(&self) -> &[Arc<DataChunk>] {
+        &self.chunks
     }
 
-    /// The stored rows, in insertion order.
+    /// Row `p`, read out of its chunk. Panics when `p` is not below
+    /// [`Table::len`].
+    pub fn row(&self, p: usize) -> Row {
+        self.chunks[p / BATCH_SIZE].row(p % BATCH_SIZE)
+    }
+
+    /// Every row, in insertion order. Built from the chunks on the first
+    /// call for each table state — every cell is copied — and shared by
+    /// clones until a mutation drops it, so engine code reads
+    /// [`Table::columnar_chunks`] or [`Table::row`] instead.
     pub fn rows(&self) -> &[Row] {
-        &self.rows
+        self.rows.get_or_init(|| {
+            Arc::new(self.chunks.iter().flat_map(|c| (0..c.rows()).map(|i| c.row(i))).collect())
+        })
     }
 
     /// Position of the single-column primary key, if the schema declares one.
@@ -927,12 +921,12 @@ impl Table {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.chunks.last().map_or(0, |last| (self.chunks.len() - 1) * BATCH_SIZE + last.rows())
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.chunks.is_empty()
     }
 
     /// Distinct values of a column, in first-seen order, capped at `limit`.
@@ -941,27 +935,26 @@ impl Table {
             .schema
             .column_index(column)
             .ok_or_else(|| SqlError::UnknownColumn(format!("{}.{}", self.schema.name, column)))?;
-        Ok(self.distinct_cells(idx, limit).into_iter().cloned().collect())
+        Ok(self.distinct_cells(idx, limit))
     }
 
     /// The distinct non-NULL cells of column `idx`, in first-seen order,
     /// capped at `limit`.
-    fn distinct_cells(&self, idx: usize, limit: usize) -> Vec<&Value> {
+    fn distinct_cells(&self, idx: usize, limit: usize) -> Vec<Value> {
         let mut seen = GroupKeyMap::default();
-        let mut out: Vec<&Value> = Vec::new();
-        for row in &self.rows {
-            let v = &row[idx];
-            if v.is_null() {
-                continue;
-            }
-            if seen.insert_if_new(std::slice::from_ref(v)) {
-                out.push(v);
-                if out.len() >= limit {
-                    break;
+        'scan: for chunk in &self.chunks {
+            let col = &chunk.columns[idx];
+            for i in 0..chunk.rows() {
+                let cell = col.cell(i);
+                if matches!(cell, CellRef::Null) {
+                    continue;
+                }
+                if seen.get_or_insert_cells(&[cell]).1 && seen.len() >= limit {
+                    break 'scan;
                 }
             }
         }
-        out
+        seen.into_keys().into_iter().flatten().collect()
     }
 }
 
@@ -970,10 +963,10 @@ impl Table {
 ///
 /// Tables are held behind [`Arc`], which makes `Database::clone` a
 /// *snapshot* operation: the schema and the table map are copied, but every
-/// table's row store, indexes, and columnar chunks are shared. A commit
-/// clones the database, mutates only the touched tables through
-/// [`Database::table_mut`] (copy-on-write via [`Arc::make_mut`]), and
-/// publishes the clone — readers holding the original see nothing change.
+/// table's chunks and indexes are shared. A commit clones the database,
+/// mutates only the touched tables through `Database::write_table`
+/// (copy-on-write), and publishes the clone — readers holding the original
+/// see nothing change.
 #[derive(Debug, Clone)]
 pub struct Database {
     schema: DatabaseSchema,
@@ -1073,29 +1066,42 @@ impl Database {
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
-    /// Mutable access to a table by case-insensitive name. On a snapshot
-    /// whose table is shared with other snapshots this is the copy-on-write
-    /// point: the table (rows, indexes) is deep-cloned once, leaving every
-    /// other snapshot untouched.
-    pub fn table_mut(&mut self, name: &str) -> SqlResult<&mut Table> {
-        self.tables
+    /// Runs `write`, an all-or-nothing mutation such as
+    /// [`Table::insert_many`], on a table by case-insensitive name. A table
+    /// only this database holds is written in place. A table shared with
+    /// other snapshots is the copy-on-write point: `write` runs on a copy
+    /// (its chunks still shared, see [`Table`]), which replaces the shared
+    /// handle only when `write` succeeds, so a failed write leaves the
+    /// database as it was, handles included.
+    pub(crate) fn write_table(
+        &mut self,
+        name: &str,
+        write: impl FnOnce(&mut Table) -> SqlResult<()>,
+    ) -> SqlResult<()> {
+        let slot = self
+            .tables
             .get_mut(&name.to_ascii_lowercase())
-            .map(Arc::make_mut)
-            .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
+            .ok_or_else(|| SqlError::UnknownTable(name.to_string()))?;
+        match Arc::get_mut(slot) {
+            Some(table) => write(table),
+            None => {
+                let mut copy = Table::clone(slot);
+                write(&mut copy)?;
+                *slot = Arc::new(copy);
+                Ok(())
+            }
+        }
     }
 
     /// Inserts a row into a table.
     pub fn insert(&mut self, table: &str, row: Row) -> SqlResult<()> {
-        self.table_mut(table)?.insert(row)
+        self.write_table(table, |t| t.insert(row))
     }
 
-    /// Inserts many rows into a table.
+    /// Inserts many rows into a table, all or nothing
+    /// ([`Table::insert_many`]).
     pub fn insert_many(&mut self, table: &str, rows: Vec<Row>) -> SqlResult<()> {
-        let t = self.table_mut(table)?;
-        for r in rows {
-            t.insert(r)?;
-        }
-        Ok(())
+        self.write_table(table, |t| t.insert_many(rows))
     }
 
     /// Names of every table.
@@ -1136,23 +1142,25 @@ mod tests {
     }
 
     #[test]
-    fn columnar_snapshot_invalidates_on_insert_and_generation_tracks_writes() {
-        let mut db = Database::new("d");
-        db.create_table(client_table()).unwrap();
-        db.insert("client", vec![1.into(), "F".into(), Value::Null]).unwrap();
-        let t = db.table("client").unwrap();
+    fn an_append_copies_a_chunk_a_reader_shares_and_the_readers_chunk_is_unchanged() {
+        let mut t = Table::new(client_table());
+        t.insert(vec![1.into(), "F".into(), Value::Null]).unwrap();
         assert_eq!(t.generation(), 1);
-        let before = t.columnar_chunks();
-        assert_eq!(before[0].rows(), 1);
-        // Same generation → the snapshot is served by reference, not rebuilt.
-        let again = t.columnar_chunks();
-        assert!(Arc::ptr_eq(&before[0], &again[0]));
-        db.insert("client", vec![2.into(), "M".into(), Value::Null]).unwrap();
-        let t = db.table("client").unwrap();
+        // A reader (a scan, another snapshot) holds the last chunk.
+        let reader = Arc::clone(&t.columnar_chunks()[0]);
+        t.insert(vec![2.into(), "M".into(), Value::Null]).unwrap();
         assert_eq!(t.generation(), 2, "every insert bumps the epoch");
-        let after = t.columnar_chunks();
-        assert_eq!(after[0].rows(), 2, "post-insert snapshot sees the new row");
-        assert!(!Arc::ptr_eq(&before[0], &after[0]), "mutation discarded the cached snapshot");
+        let after = Arc::clone(&t.columnar_chunks()[0]);
+        assert_eq!(after.rows(), 2, "the table sees the new row");
+        assert!(!Arc::ptr_eq(&reader, &after), "the shared chunk was copied, not changed");
+        assert_eq!(reader.rows(), 1);
+        assert_eq!(reader.row(0), vec![1.into(), "F".into(), Value::Null]);
+        // With no reader left, the next append writes the chunk in place.
+        drop((reader, after));
+        let unshared = Arc::as_ptr(&t.columnar_chunks()[0]);
+        t.insert(vec![3.into(), "F".into(), Value::Null]).unwrap();
+        assert_eq!(Arc::as_ptr(&t.columnar_chunks()[0]), unshared);
+        assert_eq!(t.row(2), vec![3.into(), "F".into(), Value::Null]);
     }
 
     #[test]

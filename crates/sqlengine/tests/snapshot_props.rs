@@ -23,14 +23,16 @@
 //!
 //! Pinned-snapshot isolation, COW granularity (`Arc::ptr_eq` witnesses) and
 //! primary-key collisions (both paths refuse, nothing is published) are
-//! covered by the `proptest!` properties below the oracle.
+//! covered by the `proptest!` properties below the oracle, and the chunk
+//! layout at the 1,024-row boundaries by the property after them.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use seed_sqlengine::{
     commit_statement, commit_statement_rebuild, execute_statement, execute_with_stats_mode,
-    ColumnDef, DataType, Database, PlanMode, PreparedStatement, TableSchema, Value, ValueSample,
+    ColumnDef, DataChunk, DataType, Database, PlanMode, PreparedStatement, TableSchema, Value,
+    ValueSample, BATCH_SIZE,
 };
 
 /// The tables of [`fresh_db`].
@@ -137,7 +139,7 @@ fn assert_observably_identical(inc: &Database, reb: &Database, ids_issued: i64, 
         // proves no stale chunk survives a commit.
         let (ci, cr) = (ti.columnar_chunks(), tr.columnar_chunks());
         assert_eq!(ci.len(), cr.len(), "chunk count diverged in {name}: {ctx}");
-        for (a, b) in ci.iter().zip(&cr) {
+        for (a, b) in ci.iter().zip(cr) {
             assert_eq!(a.rows(), b.rows(), "chunk rows diverged in {name}: {ctx}");
             for i in 0..a.rows() {
                 assert_eq!(
@@ -442,6 +444,120 @@ proptest! {
                 commit_statement_rebuild(&db, sql).unwrap_or_else(|e| panic!("reb: {e}: {sql}"));
             prop_assert_eq!(inc.rows_affected, reb.rows_affected);
             assert_observably_identical(&inc.db, &reb.db, next_id, sql);
+        }
+    }
+}
+
+/// Asserts the storage layout of `db`'s table `t`: every chunk but the last
+/// holds `BATCH_SIZE` rows and the last is not empty, and each chunk equals
+/// `DataChunk::from_rows` of its own rows, storage class of every column
+/// included — however the chunk was built (appends, a rebuilt chunk, a
+/// re-sliced suffix). Returns the rendered rows.
+fn assert_chunk_layout(db: &Database, ctx: &str) -> Vec<Vec<String>> {
+    let t = db.table("t").unwrap();
+    let chunks = t.columnar_chunks();
+    let mut rows = Vec::new();
+    for (k, chunk) in chunks.iter().enumerate() {
+        if k + 1 < chunks.len() {
+            assert_eq!(chunk.rows(), BATCH_SIZE, "chunk {k} of {}: {ctx}", chunks.len());
+        } else {
+            assert!((1..=BATCH_SIZE).contains(&chunk.rows()), "last chunk {k}: {ctx}");
+        }
+        let own: Vec<Vec<Value>> = (0..chunk.rows()).map(|i| chunk.row(i)).collect();
+        let fresh = DataChunk::from_rows(chunk.width(), &own);
+        for (c, (col, want)) in chunk.columns.iter().zip(&fresh.columns).enumerate() {
+            assert_eq!(
+                std::mem::discriminant(col),
+                std::mem::discriminant(want),
+                "class of column {c} in chunk {k}: {ctx}"
+            );
+        }
+        assert_eq!(
+            rendered(&own),
+            rendered(&(0..chunk.rows()).map(|i| fresh.row(i)).collect::<Vec<_>>())
+        );
+        rows.extend(rendered(&own));
+    }
+    assert_eq!(rows.len(), t.len(), "{ctx}");
+    rows
+}
+
+/// 2,100 rows: three chunks, the last partial. `v` is an integer or NULL,
+/// `w` text, so a write of another class turns a column `Mixed`.
+fn boundary_db() -> Database {
+    let mut db = Database::new("layout");
+    db.create_table(TableSchema::new(
+        "t",
+        vec![
+            ColumnDef::new("id", DataType::Integer).primary_key(),
+            ColumnDef::new("v", DataType::Integer),
+            ColumnDef::new("w", DataType::Text),
+        ],
+    ))
+    .unwrap();
+    for i in 0..2100i64 {
+        let v = if i % 7 == 0 { Value::Null } else { Value::Integer(i) };
+        db.insert("t", vec![i.into(), v, format!("w{i}").into()]).unwrap();
+    }
+    db
+}
+
+/// Commits at rows 1,023, 1,024 and 1,025 (the last row of the first
+/// chunk and the first two of the second) and at the last row, through the
+/// snapshot commit (`commit_statement`), the in-place write
+/// (`execute_statement`) and the rebuild oracle. After every commit each
+/// path keeps the chunk layout of `assert_chunk_layout` and the same rows,
+/// and a one-row UPDATE replaces only the chunk holding the row: every
+/// other chunk stays `Arc::ptr_eq` with the parent snapshot's.
+#[test]
+fn commits_at_chunk_boundaries_keep_the_chunk_layout() {
+    const SETS: &[&str] = &["v = 'text'", "v = NULL", "v = 2.5", "w = 7", "v = id, w = 'w'"];
+    let start = boundary_db();
+    assert_chunk_layout(&start, "start");
+    let mut runner = Runner::new("chunk_boundary_commits");
+    let mut next_id = 2100;
+    for case in 0..24 {
+        let program = runner.gen_string("[a-t]{1,8}");
+        let (mut inc, mut reb, mut direct) = (start.clone(), start.clone(), start.clone());
+        for (step, c) in program.chars().enumerate() {
+            let op = c as usize - 'a' as usize;
+            let len = inc.table("t").unwrap().len();
+            let pos = [1023, 1024, 1025, len - 1][op / 5];
+            let id = inc.table("t").unwrap().row(pos)[0].render();
+            let sql = match op % 5 {
+                0 => format!("DELETE FROM t WHERE id = {id}"),
+                1 => {
+                    next_id += 1;
+                    format!("INSERT INTO t VALUES ({next_id}, 'new', NULL)")
+                }
+                k => format!("UPDATE t SET {} WHERE id = {id}", SETS[(k + step) % SETS.len()]),
+            };
+            let ctx = format!("case {case} step {step}: {sql} (row {pos})");
+            let parent = direct.clone();
+            let next = commit_statement(&inc, &sql).unwrap_or_else(|e| panic!("{e}: {ctx}")).db;
+            reb = commit_statement_rebuild(&reb, &sql).unwrap_or_else(|e| panic!("{e}: {ctx}")).db;
+            execute_statement(&mut direct, &sql).unwrap_or_else(|e| panic!("{e}: {ctx}"));
+            let rows = assert_chunk_layout(&next, &ctx);
+            assert_eq!(assert_chunk_layout(&reb, &ctx), rows, "rebuild diverged: {ctx}");
+            assert_eq!(assert_chunk_layout(&direct, &ctx), rows, "in-place diverged: {ctx}");
+            if sql.starts_with("UPDATE") {
+                for (before, after) in [(&inc, &next), (&parent, &direct)] {
+                    let (old, new) = (
+                        before.table("t").unwrap().columnar_chunks(),
+                        after.table("t").unwrap().columnar_chunks(),
+                    );
+                    assert_eq!(old.len(), new.len(), "{ctx}");
+                    for (k, (a, b)) in old.iter().zip(new).enumerate() {
+                        let shared = Arc::ptr_eq(a, b);
+                        assert_eq!(
+                            shared,
+                            k != pos / BATCH_SIZE,
+                            "chunk {k} shared: {shared}: {ctx}"
+                        );
+                    }
+                }
+            }
+            inc = next;
         }
     }
 }
