@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use seed_core::few_shot::select_examples;
 use seed_core::sample_sql::run_sample_sql;
 use seed_datasets::{bird::build_bird, CorpusConfig, Question, Split};
-use seed_embedding::HashedEmbedder;
+use seed_embedding::{HashedEmbedder, PoolEmbedder};
 use seed_llm::{EvidenceGenTask, LanguageModel, ModelProfile, SimLlm};
 
 fn ablation_benches(c: &mut Criterion) {
@@ -21,7 +21,7 @@ fn ablation_benches(c: &mut Criterion) {
     let db = bench.database(&q.db_id).unwrap();
     let sampler = SimLlm::new(ModelProfile::gpt_4o_mini());
     let generator = SimLlm::new(ModelProfile::gpt_4o());
-    let embedder = HashedEmbedder::default();
+    let embedder = PoolEmbedder::new(HashedEmbedder::default());
 
     // Accuracy effect of grounding (printed once so the ablation is visible in
     // bench logs): with grounding the issuance code is resolvable, without it

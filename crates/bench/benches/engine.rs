@@ -5,17 +5,22 @@
 //! search at 1x vs 10x input sizes (hash grouping and the inverted index
 //! must scale ~linearly, not quadratically), plus a correlated-subquery
 //! workload whose per-outer-row re-planning is eliminated by the plan cache,
-//! SEED's sample-SQL probe shapes on BIRD toxicology at scale 16, and the
-//! commit path (`commit_path` benches) on the same table at scales 1 and 16.
+//! SEED's sample-SQL probe shapes on BIRD toxicology at scale 16, the
+//! commit path (`commit_path` benches) on the same table at scales 1 and 16,
+//! and the result memo behind evaluation (`result_memo` benches).
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use seed_datasets::{bird::build_bird, CorpusConfig, Split};
+use seed_eval::{EvidenceSetting, ExperimentRunner};
 use seed_retrieval::Bm25Index;
 use seed_sqlengine::{
     commit_statement, commit_statement_rebuild, execute, execute_select_with_plan_cache,
     execute_statement, execute_with_stats_mode, parse_select, plan_select, ColumnDef, DataType,
-    Database, PlanCache, PlanMode, TableSchema,
+    Database, PlanCache, PlanMode, ResultMemo, SharedPlanCache, TableSchema,
 };
+use seed_text2sql::C3;
 
 /// Rows in the 1x synthetic table; the 10x variants multiply this.
 const BASE_ROWS: usize = 1_000;
@@ -408,6 +413,46 @@ fn engine_benches(c: &mut Criterion) {
             )
             .unwrap()
         })
+    });
+
+    // The result memo on BIRD at scale 1. One Table IV cell (C3 without
+    // evidence) on a runner that has evaluated it before, so the runner's
+    // memo answers every gold and predicted statement and C3's memo every
+    // voted candidate; and one gold statement (the first of dev whose plan
+    // hash-joins) as a memo hit against a warm `SharedPlanCache`
+    // re-execution, asserting equal rows and stats first.
+    let runner = ExperimentRunner::new(&bird1, Split::Dev);
+    let c3 = C3::new();
+    let first = runner.evaluate(&c3, EvidenceSetting::WithoutEvidence);
+    c.bench_function("engine/result_memo_table4_cell_c3_warm", |b| {
+        b.iter(|| {
+            let again = runner.evaluate(&c3, EvidenceSetting::WithoutEvidence);
+            assert_eq!(again.scores, first.scores);
+            again
+        })
+    });
+    let gold = bird1
+        .split(Split::Dev)
+        .into_iter()
+        .find(|q| {
+            let db = bird1.database(&q.db_id).unwrap();
+            let stmt = parse_select(&q.gold_sql).unwrap();
+            plan_select(db, &stmt).unwrap().uses_hash_join()
+        })
+        .expect("BIRD dev has a hash-joining gold statement");
+    let db = bird1.database(&gold.db_id).unwrap();
+    let (memo, plans) = (ResultMemo::new(), SharedPlanCache::new());
+    plans.execute(db, &gold.gold_sql).unwrap();
+    let (warm_rows, warm) = plans.execute(db, &gold.gold_sql).unwrap();
+    let (entry, _) = memo.execute(db, &gold.gold_sql).unwrap();
+    let (again, hit) = memo.execute(db, &gold.gold_sql).unwrap();
+    assert!(Arc::ptr_eq(&entry, &again));
+    assert_eq!((&entry.result.rows, hit), (&warm_rows.rows, warm), "{}", gold.gold_sql);
+    c.bench_function("engine/result_memo_hit_gold", |b| {
+        b.iter(|| memo.execute(db, &gold.gold_sql).unwrap())
+    });
+    c.bench_function("engine/result_memo_plan_cache_gold", |b| {
+        b.iter(|| plans.execute(db, &gold.gold_sql).unwrap())
     });
 }
 

@@ -18,6 +18,9 @@
 //! assert!(seed_embedding::cosine_similarity(&a, &b) > seed_embedding::cosine_similarity(&a, &c));
 //! ```
 
+use std::collections::HashMap;
+use std::sync::{Arc, PoisonError, RwLock};
+
 mod hashed;
 
 pub use hashed::HashedEmbedder;
@@ -53,21 +56,79 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
     dot / (na * nb)
 }
 
-/// Ranks `candidates` by cosine similarity to `query`, most similar first.
-/// Returns `(index, similarity)` pairs.
-pub fn rank_by_similarity<M: EmbeddingModel>(
-    model: &M,
-    query: &str,
-    candidates: &[&str],
-) -> Vec<(usize, f32)> {
-    let q = model.embed(query);
+/// Ranks `candidates` by cosine similarity to `query`, most similar first;
+/// the sort is stable, so ties keep candidate order. Returns `(index,
+/// similarity)` pairs.
+pub fn rank_by_similarity<V: AsRef<[f32]>>(query: &[f32], candidates: &[V]) -> Vec<(usize, f32)> {
     let mut scored: Vec<(usize, f32)> = candidates
         .iter()
         .enumerate()
-        .map(|(i, c)| (i, cosine_similarity(&q, &model.embed(c))))
+        .map(|(i, c)| (i, cosine_similarity(query, c.as_ref())))
         .collect();
     scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
     scored
+}
+
+/// Most pool embeddings a [`PoolEmbedder`] keeps.
+pub const MAX_POOL_EMBEDDINGS: usize = 1024;
+
+/// An embedding model plus the embeddings of the pool texts it has ranked,
+/// keyed by text, so a training pool is embedded once instead of once per
+/// query. It keeps at most [`MAX_POOL_EMBEDDINGS`]: a new text reaching a
+/// full cache drops an arbitrary one. Embedding is deterministic, so a kept
+/// vector is bit-identical to a fresh one.
+#[derive(Debug, Default)]
+pub struct PoolEmbedder<M> {
+    model: M,
+    pool: RwLock<HashMap<String, Arc<[f32]>>>,
+}
+
+impl<M: EmbeddingModel> PoolEmbedder<M> {
+    /// Wraps `model` with an empty cache.
+    pub fn new(model: M) -> Self {
+        PoolEmbedder { model, pool: RwLock::default() }
+    }
+
+    /// The wrapped model.
+    pub fn model(&self) -> &M {
+        &self.model
+    }
+
+    /// Ranks `pool` by cosine similarity to `query`, most similar first, as
+    /// [`rank_by_similarity`] does. `query` is embedded afresh; each pool
+    /// text is embedded on first sight and kept.
+    pub fn rank(&self, query: &str, pool: &[&str]) -> Vec<(usize, f32)> {
+        let vectors: Vec<Arc<[f32]>> = pool.iter().map(|text| self.embedding(text)).collect();
+        rank_by_similarity(&self.model.embed(query), &vectors)
+    }
+
+    /// The embedding of `text`, computed and kept on first sight. Every
+    /// update leaves the map whole, so a guard a panicking thread left
+    /// behind is safe to take.
+    fn embedding(&self, text: &str) -> Arc<[f32]> {
+        if let Some(vector) = self.pool.read().unwrap_or_else(PoisonError::into_inner).get(text) {
+            return Arc::clone(vector);
+        }
+        let vector: Arc<[f32]> = self.model.embed(text).into();
+        let mut cache = self.pool.write().unwrap_or_else(PoisonError::into_inner);
+        if cache.len() >= MAX_POOL_EMBEDDINGS && !cache.contains_key(text) {
+            if let Some(victim) = cache.keys().next().cloned() {
+                cache.remove(&victim);
+            }
+        }
+        cache.insert(text.to_string(), Arc::clone(&vector));
+        vector
+    }
+
+    /// Number of pool embeddings kept.
+    pub fn len(&self) -> usize {
+        self.pool.read().unwrap_or_else(PoisonError::into_inner).len()
+    }
+
+    /// True when no pool embedding is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 #[cfg(test)]
@@ -91,17 +152,53 @@ mod tests {
         assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
+    const QUERY: &str = "How many accounts have a loan under 200000?";
+    const CANDIDATES: [&str; 3] = [
+        "Among the weekly issuance accounts, how many have a loan of under 200000?",
+        "List the superheroes with blue eyes",
+        "What is the highest eligible free rate for K-12 students?",
+    ];
+
     #[test]
     fn rank_by_similarity_puts_paraphrase_first() {
         let model = HashedEmbedder::default();
-        let query = "How many accounts have a loan under 200000?";
-        let candidates = [
-            "Among the weekly issuance accounts, how many have a loan of under 200000?",
-            "List the superheroes with blue eyes",
-            "What is the highest eligible free rate for K-12 students?",
-        ];
-        let ranked = rank_by_similarity(&model, query, &candidates);
+        let vectors: Vec<Embedding> = CANDIDATES.iter().map(|c| model.embed(c)).collect();
+        let ranked = rank_by_similarity(&model.embed(QUERY), &vectors);
         assert_eq!(ranked[0].0, 0);
         assert!(ranked[0].1 > ranked[1].1);
+    }
+
+    #[test]
+    fn ties_keep_candidate_order() {
+        let ranked = rank_by_similarity(&[1.0, 0.0], &[[0.0, 1.0], [1.0, 0.0], [0.0, 2.0]]);
+        assert_eq!(ranked.iter().map(|(i, _)| *i).collect::<Vec<_>>(), [1, 0, 2]);
+    }
+
+    #[test]
+    fn a_pool_embedder_ranks_bit_identically_and_embeds_each_text_once() {
+        let model = HashedEmbedder::default();
+        let vectors: Vec<Embedding> = CANDIDATES.iter().map(|c| model.embed(c)).collect();
+        let fresh = rank_by_similarity(&model.embed(QUERY), &vectors);
+        let pool = PoolEmbedder::new(HashedEmbedder::default());
+        for _ in 0..2 {
+            let ranked = pool.rank(QUERY, &CANDIDATES);
+            assert_eq!(ranked.len(), fresh.len());
+            for (a, b) in ranked.iter().zip(&fresh) {
+                assert_eq!((a.0, a.1.to_bits()), (b.0, b.1.to_bits()));
+            }
+            assert_eq!(pool.len(), CANDIDATES.len(), "the query is not kept");
+        }
+    }
+
+    #[test]
+    fn a_pool_embedder_keeps_at_most_its_bound() {
+        let pool = PoolEmbedder::new(HashedEmbedder::with_dimension(8));
+        let texts: Vec<String> = (0..MAX_POOL_EMBEDDINGS + 50).map(|i| format!("q{i}")).collect();
+        for chunk in texts.chunks(100) {
+            let refs: Vec<&str> = chunk.iter().map(String::as_str).collect();
+            assert_eq!(pool.rank("q1", &refs).len(), refs.len());
+            assert!(pool.len() <= MAX_POOL_EMBEDDINGS);
+        }
+        assert_eq!(pool.len(), MAX_POOL_EMBEDDINGS);
     }
 }

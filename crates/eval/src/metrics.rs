@@ -7,9 +7,16 @@
 //! SQLite; the reproduction uses the engine's deterministic cost counters
 //! ([`seed_sqlengine::ExecStats`]), which preserves the ranking behaviour
 //! without timing noise.
+//!
+//! [`evaluate_pair`] executes both statements afresh and is the oracle.
+//! [`evaluate_pair_cached`] executes them through a [`ResultMemo`], so a
+//! statement evaluated under many systems and settings runs once per run,
+//! and EX compares fingerprints computed once per memo entry.
+
+use std::sync::Arc;
 
 use seed_sqlengine::{
-    execute_with_stats_mode, Database, ExecStats, PlanMode, ResultSet, SharedPlanCache, SqlResult,
+    execute_with_stats_mode, Database, ExecStats, Memoized, PlanMode, ResultMemo, SqlResult,
 };
 
 /// Evaluation of one (gold, predicted) pair.
@@ -38,42 +45,54 @@ impl PairEval {
 }
 
 /// Evaluates one predicted query against the gold query. Executes under
-/// [`PlanMode::serving`] (the vectorized columnar pipeline), like the cached
-/// path, so both report costs from the same execution mode.
+/// [`PlanMode::serving`] (the vectorized columnar pipeline), as the
+/// [`ResultMemo`] of the cached path does, so both report costs from the
+/// same execution mode.
 pub fn evaluate_pair(db: &Database, gold_sql: &str, pred_sql: &str) -> PairEval {
     evaluate_pair_impl(
         |sql| execute_with_stats_mode(db, sql, PlanMode::serving()),
+        |gold, pred| pred.result_eq(gold),
         gold_sql,
         pred_sql,
     )
     .0
 }
 
-/// Like [`evaluate_pair`], but executes through a [`SharedPlanCache`], so
-/// gold queries repeated across an eval run (one execution per system ×
-/// setting) parse and plan once per run instead of once per evaluation.
+/// Like [`evaluate_pair`], but executes through a [`ResultMemo`], so a
+/// statement repeated across an eval run (every gold query, once per
+/// system × setting, and every prediction that repeats a statement) runs
+/// once per run. EX holds when both statements share one memo entry or
+/// their entries' fingerprints are equal, which is [`evaluate_pair`]'s
+/// `result_eq`.
 ///
 /// The returned [`ExecStats`] merges the gold and predicted executions'
 /// stats ([`ExecStats::merge`]), letting runners aggregate run totals
 /// without double counting. The [`PairEval`] is identical to the uncached
-/// path: plan reuse changes only the cache observability counters, which
+/// path: a memo hit replays the stored execution's stats and changes only
+/// the plan-cache counters ([`ExecStats::replayed`]), which
 /// [`ExecStats::cost`] — and therefore EX/VES — never reads.
 pub fn evaluate_pair_cached(
     db: &Database,
-    plans: &SharedPlanCache,
+    memo: &ResultMemo,
     gold_sql: &str,
     pred_sql: &str,
 ) -> (PairEval, ExecStats) {
-    evaluate_pair_impl(|sql| plans.execute(db, sql), gold_sql, pred_sql)
+    evaluate_pair_impl(
+        |sql| memo.execute(db, sql),
+        |gold: &Arc<Memoized>, pred| pred.result_eq(gold),
+        gold_sql,
+        pred_sql,
+    )
 }
 
-fn evaluate_pair_impl(
-    mut run: impl FnMut(&str) -> SqlResult<(ResultSet, ExecStats)>,
+fn evaluate_pair_impl<R>(
+    mut run: impl FnMut(&str) -> SqlResult<(R, ExecStats)>,
+    same_result: impl Fn(&R, &R) -> bool,
     gold_sql: &str,
     pred_sql: &str,
 ) -> (PairEval, ExecStats) {
     let mut work = ExecStats::default();
-    let (gold_rs, gold_stats) = match run(gold_sql) {
+    let (gold, gold_stats) = match run(gold_sql) {
         Ok(x) => x,
         Err(_) => {
             // A broken gold query would be a corpus bug; treat the pair as wrong.
@@ -86,10 +105,10 @@ fn evaluate_pair_impl(
     work.merge(&gold_stats);
     let gold_cost = gold_stats.cost();
     let pair = match run(pred_sql) {
-        Ok((pred_rs, pred_stats)) => {
+        Ok((pred, pred_stats)) => {
             work.merge(&pred_stats);
             PairEval {
-                correct: pred_rs.result_eq(&gold_rs),
+                correct: same_result(&gold, &pred),
                 valid: true,
                 gold_cost,
                 pred_cost: pred_stats.cost(),

@@ -3,9 +3,11 @@
 //! SEED selects the training question most similar to the query (all-mpnet
 //! cosine similarity in the paper, the deterministic hashed embedder here),
 //! then retrieves four more related questions *from the same database*.
+//! The embedder keeps each pool question's embedding, so a training pool is
+//! embedded once, not once per question.
 
 use seed_datasets::Question;
-use seed_embedding::{cosine_similarity, EmbeddingModel};
+use seed_embedding::{EmbeddingModel, PoolEmbedder};
 use seed_llm::FewShotExample;
 
 /// Total number of few-shot examples selected (1 global + 4 same-database).
@@ -13,20 +15,15 @@ pub const FEW_SHOT_TOTAL: usize = 5;
 
 /// Selects few-shot examples for a question from the training pool.
 pub fn select_examples<M: EmbeddingModel>(
-    embedder: &M,
+    embedder: &PoolEmbedder<M>,
     question: &Question,
     train_pool: &[&Question],
 ) -> Vec<FewShotExample> {
     if train_pool.is_empty() {
         return Vec::new();
     }
-    let target = embedder.embed(&question.text);
-    let mut scored: Vec<(usize, f32)> = train_pool
-        .iter()
-        .enumerate()
-        .map(|(i, q)| (i, cosine_similarity(&target, &embedder.embed(&q.text))))
-        .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    let pool: Vec<&str> = train_pool.iter().map(|q| q.text.as_str()).collect();
+    let scored = embedder.rank(&question.text, &pool);
 
     let mut picked: Vec<usize> = Vec::new();
     // 1. The globally most similar training question.
@@ -74,13 +71,17 @@ mod tests {
     use seed_datasets::{bird::build_bird, CorpusConfig, Split};
     use seed_embedding::HashedEmbedder;
 
+    fn embedder() -> PoolEmbedder<HashedEmbedder> {
+        PoolEmbedder::new(HashedEmbedder::default())
+    }
+
     #[test]
     fn selects_five_examples_mostly_from_same_database() {
         let bench = build_bird(&CorpusConfig::default());
         let train: Vec<&Question> = bench.split(Split::Train);
         let dev = bench.split(Split::Dev);
         let q = dev.iter().find(|q| q.db_id == "financial").unwrap();
-        let examples = select_examples(&HashedEmbedder::default(), q, &train);
+        let examples = select_examples(&embedder(), q, &train);
         assert_eq!(examples.len(), FEW_SHOT_TOTAL);
         // At least the same-database slots should exist: count training
         // questions whose text matches a financial training question.
@@ -92,10 +93,26 @@ mod tests {
     }
 
     #[test]
+    fn a_kept_pool_picks_what_a_fresh_embedder_picks() {
+        let bench = build_bird(&CorpusConfig::default());
+        let train: Vec<&Question> = bench.split(Split::Train);
+        let kept = embedder();
+        for q in bench.split(Split::Dev) {
+            assert_eq!(
+                select_examples(&kept, q, &train),
+                select_examples(&embedder(), q, &train),
+                "{}",
+                q.id
+            );
+        }
+        assert_eq!(kept.len(), train.len(), "each pool question is embedded once");
+    }
+
+    #[test]
     fn empty_pool_yields_no_examples() {
         let bench = build_bird(&CorpusConfig::tiny());
         let q = bench.split(Split::Dev)[0];
-        assert!(select_examples(&HashedEmbedder::default(), q, &[]).is_empty());
+        assert!(select_examples(&embedder(), q, &[]).is_empty());
     }
 
     #[test]
@@ -103,7 +120,7 @@ mod tests {
         let bench = build_bird(&CorpusConfig::tiny());
         let train: Vec<&Question> = bench.split(Split::Train);
         let q = bench.split(Split::Dev)[0];
-        for ex in select_examples(&HashedEmbedder::default(), q, &train) {
+        for ex in select_examples(&embedder(), q, &train) {
             assert!(!ex.sql.is_empty());
             assert!(ex.sql.to_uppercase().starts_with("SELECT"));
         }

@@ -9,7 +9,7 @@
 //!   of [`crate::revise`] (DeepSeek-V3 in the paper).
 
 use seed_datasets::Question;
-use seed_embedding::HashedEmbedder;
+use seed_embedding::{HashedEmbedder, PoolEmbedder};
 use seed_llm::{EvidenceGenTask, LanguageModel, ModelProfile, SimLlm};
 use seed_sqlengine::Database;
 
@@ -75,7 +75,9 @@ pub struct SeedPipeline {
     sampler: SimLlm,
     /// Model used for evidence generation (GPT-4o or DeepSeek-R1).
     generator: SimLlm,
-    embedder: HashedEmbedder,
+    /// Few-shot selection's embedder, keeping the training pool's
+    /// embeddings.
+    embedder: PoolEmbedder<HashedEmbedder>,
 }
 
 impl SeedPipeline {
@@ -85,7 +87,7 @@ impl SeedPipeline {
             variant: SeedVariant::Gpt,
             sampler: SimLlm::new(ModelProfile::gpt_4o_mini()),
             generator: SimLlm::new(ModelProfile::gpt_4o()),
-            embedder: HashedEmbedder::default(),
+            embedder: PoolEmbedder::new(HashedEmbedder::default()),
         }
     }
 
@@ -95,7 +97,7 @@ impl SeedPipeline {
             variant: SeedVariant::Deepseek,
             sampler: SimLlm::new(ModelProfile::deepseek_r1()),
             generator: SimLlm::new(ModelProfile::deepseek_r1()),
-            embedder: HashedEmbedder::default(),
+            embedder: PoolEmbedder::new(HashedEmbedder::default()),
         }
     }
 

@@ -69,12 +69,23 @@ pub fn execute_with_stats_mode(
     sql: &str,
     mode: PlanMode,
 ) -> SqlResult<(ResultSet, ExecStats)> {
-    match crate::parser::parse_statement(sql)? {
+    execute_parsed(db, &crate::parser::parse_statement(sql)?, mode)
+}
+
+/// [`execute_with_stats_mode`] after the parse: the part
+/// [`crate::ResultMemo`] runs on a miss, so memoized and direct executions
+/// cannot drift apart.
+pub(crate) fn execute_parsed(
+    db: &Database,
+    stmt: &Statement,
+    mode: PlanMode,
+) -> SqlResult<(ResultSet, ExecStats)> {
+    match stmt {
         Statement::Explain(ex) => {
-            Ok((crate::explain::explain_statement(db, &ex, mode)?, ExecStats::default()))
+            Ok((crate::explain::explain_statement(db, ex, mode)?, ExecStats::default()))
         }
         Statement::Select(stmt) => {
-            execute_select_with_plan_cache(db, &stmt, mode, &PlanCache::new(stmt.query_count()))
+            execute_select_with_plan_cache(db, stmt, mode, &PlanCache::new(stmt.query_count()))
         }
         other => Err(SqlError::Parse(format!("expected SELECT, parsed {other:?}"))),
     }
@@ -88,7 +99,7 @@ pub fn execute_with_stats_mode(
 /// later execution of the same statement (or a clone of it) through the
 /// same cache skips planning entirely, on any thread.
 /// [`crate::prepared::SharedPlanCache`] pairs each statement with its cache
-/// and is what `seed-serve` and the eval runners use.
+/// and is what `seed-serve` uses.
 pub fn execute_select_with_plan_cache(
     db: &Database,
     stmt: &SelectStatement,

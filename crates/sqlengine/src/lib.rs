@@ -77,6 +77,19 @@
 //! `crates/sqlengine/tests/columnar_props.rs` do the same over randomized
 //! correlated and NULL/NaN/cross-typed workloads.
 //!
+//! ## Result memo
+//!
+//! Every [`Table`] state has a [`Table::generation`] unique within the
+//! process: [`Table::new`] and every mutation draw one from a global
+//! counter, and a clone keeps it. So the generations of the tables a
+//! statement reads, with the database name and the SQL text, name one
+//! outcome. [`ResultMemo`] keys by exactly that ([`mod@memo`]): it runs
+//! each distinct statement once per table state and hands out the stored
+//! rows and stats by `Arc`. Evaluation runs gold and predicted SQL through
+//! one, and so do the C3 and CHESS candidate checks; a hit reports
+//! [`ExecStats::replayed`], so EX, VES and every stats total are what
+//! executing each statement through one shared plan cache reports.
+//!
 //! ## Value sample
 //!
 //! Each [`Table`] also keeps a lazily built [`ValueSample`]: for every text
@@ -112,6 +125,7 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod functions;
+pub mod memo;
 pub mod mutate;
 pub mod parser;
 pub mod plan;
@@ -132,6 +146,7 @@ pub use exec::{
     execute_with_stats_mode,
 };
 pub use explain::{explain_analyze_text, explain_sql, explain_statement, explain_text};
+pub use memo::{Memoized, ResultMemo};
 pub use mutate::{
     commit_statement, commit_statement_rebuild, is_write_statement, statement_dependencies,
     CommitOutcome, MutationKind, PlannedMutation,

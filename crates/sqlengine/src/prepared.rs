@@ -5,9 +5,10 @@
 //! [`PreparedStatement`] pairs a parsed statement with that cache, so every
 //! execution of it — on any thread — replays the plans earlier executions
 //! stored; [`SharedPlanCache`] maps SQL text to prepared statements for a
-//! whole process. Repeated statements (gold queries re-executed for every
-//! system/setting of an eval run, hot queries in a serving batch) parse and
-//! plan exactly once per process instead of once per execution.
+//! whole process. Repeated statements (hot queries in a serving batch)
+//! parse and plan exactly once per process instead of once per execution.
+//! Where the result itself repeats — evaluation, a system's candidate
+//! checks — [`crate::ResultMemo`] skips the execution too.
 //! Decorrelation rewrites ride along: the analysis result and the rewritten
 //! build statement's plan live in the same cache, so a decorrelated
 //! statement is rewritten and its build side planned once per process too.

@@ -95,6 +95,12 @@ fn render_for_comparison(v: &Value) -> String {
 /// constant regardless of table size. VES compares costs as ratios per
 /// question, so the absolute scale is irrelevant — only determinism and
 /// monotonicity ("less work ⇒ lower cost") matter.
+///
+/// A statement replayed from a [`crate::ResultMemo`] reports
+/// [`ExecStats::replayed`]: the stored execution's counters with
+/// `plan_cache_misses` folded into `plan_cache_hits`, which is what a
+/// re-execution through a warm plan cache reports. Every work counter, and
+/// so [`ExecStats::cost`], is the execution's own.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Rows visited across all scans and join loops.
@@ -168,6 +174,17 @@ impl ExecStats {
             + Self::INDEX_LOOKUP_WEIGHT * self.index_lookups as f64
             + Self::HASH_BUILD_WEIGHT * self.hash_build_rows as f64
             + Self::HASH_PROBE_WEIGHT * self.hash_probes as f64
+    }
+
+    /// The stats a replay of this execution reports: every counter as it
+    /// is, except that each plan the execution computed counts as a plan
+    /// served from the cache.
+    pub fn replayed(&self) -> ExecStats {
+        ExecStats {
+            plan_cache_hits: self.plan_cache_hits + self.plan_cache_misses,
+            plan_cache_misses: 0,
+            ..*self
+        }
     }
 
     /// Accumulates another stats block into this one, field by field.

@@ -12,6 +12,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::chunk::{DataChunk, BATCH_SIZE};
@@ -635,9 +636,11 @@ pub struct Table {
     chunks: Vec<Arc<DataChunk>>,
     pk_col: Option<usize>,
     pk_index: EqKeyMap,
-    /// Mutation epoch, bumped once by every mutation: the table's *version*
-    /// for snapshot bookkeeping. Serve-side caches key entries by it, and
-    /// distinct values witness distinct contents.
+    /// The table state's version: drawn from one process-wide counter by
+    /// [`Table::new`] and by every mutation, and kept by a clone. So a
+    /// (table name, generation) pair names one table state within the
+    /// process, even across databases and corpora that share table names;
+    /// version-keyed caches key entries by it.
     generation: u64,
     /// Lazily built row view ([`Table::rows`]). Clones share it; every
     /// mutation drops it.
@@ -645,6 +648,14 @@ pub struct Table {
     /// Lazily built value sample ([`Table::value_sample`]). Clones share it;
     /// every mutation drops it.
     value_sample: OnceLock<Arc<ValueSample>>,
+}
+
+/// The next table generation: one counter for the whole process, so no
+/// two table states share a generation. `fetch_add` alone makes each value
+/// unique, and the value publishes no other data, so `Relaxed` suffices.
+fn next_generation() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
 impl Table {
@@ -663,7 +674,7 @@ impl Table {
             chunks: Vec::new(),
             pk_col,
             pk_index: EqKeyMap::default(),
-            generation: 0,
+            generation: next_generation(),
             rows: OnceLock::new(),
             value_sample: OnceLock::new(),
         }
@@ -679,7 +690,7 @@ impl Table {
     /// keys and the keys before it in `rows`: a key `sql_cmp`-equal to one
     /// of those is rejected. NULL keys are not indexed and never collide.
     /// Rows go into the last chunk until it is full, then into a new one.
-    /// Bumps the generation once per (non-empty) call.
+    /// Takes a new generation once per (non-empty) call.
     pub fn insert_many(&mut self, rows: Vec<Row>) -> SqlResult<()> {
         if rows.is_empty() {
             return Ok(());
@@ -707,7 +718,7 @@ impl Table {
     /// updated rows meeting on one key, is rejected, while a row keeping its
     /// own key or keys swapped among the updated rows are fine. Positions
     /// are unchanged, so PK maintenance is a per-row remove + insert, and
-    /// only the chunks holding changed rows are rebuilt. Bumps the
+    /// only the chunks holding changed rows are rebuilt. Takes a new
     /// generation once per (non-empty) call.
     pub fn update_rows(&mut self, changes: Vec<(usize, Row)>) -> SqlResult<()> {
         if changes.is_empty() {
@@ -746,8 +757,8 @@ impl Table {
     /// Deletes the rows at `positions` (strictly ascending, in range). The
     /// PK index is remapped through the compaction in one pass — no key is
     /// rehashed — and the chunks are re-sliced from the one holding the
-    /// first deleted row; the chunks before it are kept as they are. Bumps
-    /// the generation once per (non-empty) call.
+    /// first deleted row; the chunks before it are kept as they are. Takes
+    /// a new generation once per (non-empty) call.
     pub fn delete_rows(&mut self, positions: &[usize]) -> SqlResult<()> {
         if positions.is_empty() {
             return Ok(());
@@ -792,7 +803,7 @@ impl Table {
     /// The last step of every mutation: a new generation, and the views
     /// built from the old contents dropped.
     fn touch(&mut self) {
-        self.generation += 1;
+        self.generation = next_generation();
         self.rows.take();
         self.value_sample.take();
     }
@@ -876,8 +887,9 @@ impl Table {
         self.value_sample.get_or_init(|| Arc::new(ValueSample::build(self)))
     }
 
-    /// The table's mutation epoch — distinct values witness distinct
-    /// contents. Exposed so tests can pin the snapshot-invalidation contract.
+    /// The table state's version, unique within the process: every
+    /// mutation takes a new one, and a clone keeps it. Exposed so tests
+    /// can pin the snapshot-invalidation contract.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1144,12 +1156,14 @@ mod tests {
     #[test]
     fn an_append_copies_a_chunk_a_reader_shares_and_the_readers_chunk_is_unchanged() {
         let mut t = Table::new(client_table());
+        let created = t.generation();
         t.insert(vec![1.into(), "F".into(), Value::Null]).unwrap();
-        assert_eq!(t.generation(), 1);
+        let first = t.generation();
+        assert!(first > created, "an insert takes a new generation");
         // A reader (a scan, another snapshot) holds the last chunk.
         let reader = Arc::clone(&t.columnar_chunks()[0]);
         t.insert(vec![2.into(), "M".into(), Value::Null]).unwrap();
-        assert_eq!(t.generation(), 2, "every insert bumps the epoch");
+        assert!(t.generation() > first, "every insert takes a new generation");
         let after = Arc::clone(&t.columnar_chunks()[0]);
         assert_eq!(after.rows(), 2, "the table sees the new row");
         assert!(!Arc::ptr_eq(&reader, &after), "the shared chunk was copied, not changed");
@@ -1459,8 +1473,10 @@ mod tests {
         assert!(t.rows().iter().all(|r| r[1] == Value::text("F")));
         // Keeping its own key, and swapping keys among updated rows, is fine.
         t.update_rows(vec![(2, row(3))]).unwrap();
+        let kept = t.generation();
+        assert!(kept > generation, "an update takes a new generation");
         t.update_rows(vec![(0, row(2)), (1, row(1))]).unwrap();
-        assert_eq!(t.generation(), generation + 2);
+        assert!(t.generation() > kept, "so does the next one");
         let keys: Vec<&Value> = t.rows().iter().map(|r| &r[0]).collect();
         assert_eq!(keys, [&Value::Integer(2), &Value::Integer(1), &Value::Integer(3)]);
         assert_eq!(t.pk_lookup(&Value::Integer(2)).unwrap().as_slice(), &[0]);

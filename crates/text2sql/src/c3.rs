@@ -5,10 +5,14 @@
 //! "use COUNT(*), LEFT JOIN, or OR only when necessary"), and Consistent
 //! Output (execute several sampled queries and vote on the result). No
 //! few-shot examples and no value retrieval are used — it is the lightest
-//! baseline in the paper.
+//! baseline in the paper. The vote runs its candidates through a
+//! [`ResultMemo`] the system owns, so a candidate seen before against the
+//! same table states is not executed again.
+
+use std::sync::Arc;
 
 use seed_llm::{LanguageModel, ModelProfile, SimLlm, SqlGenTask};
-use seed_sqlengine::execute;
+use seed_sqlengine::{Memoized, ResultMemo};
 
 use crate::{GenerationContext, Text2SqlSystem};
 
@@ -18,6 +22,8 @@ const SAMPLES: u32 = 3;
 /// The C3 system (ChatGPT base).
 pub struct C3 {
     model: SimLlm,
+    /// The outcomes of the candidates the vote executed.
+    memo: ResultMemo,
 }
 
 impl Default for C3 {
@@ -28,7 +34,7 @@ impl Default for C3 {
 
 impl C3 {
     pub fn new() -> Self {
-        C3 { model: SimLlm::new(ModelProfile::chatgpt()) }
+        C3 { model: SimLlm::new(ModelProfile::chatgpt()), memo: ResultMemo::new() }
     }
 
     /// The underlying simulated model.
@@ -64,13 +70,12 @@ impl Text2SqlSystem for C3 {
             candidates.push(self.model.generate_sql(&task).sql);
         }
         // Vote by execution-result fingerprint; unexecutable candidates lose.
-        let mut buckets: Vec<(Vec<String>, Vec<usize>)> = Vec::new();
+        let mut buckets: Vec<(Arc<Memoized>, Vec<usize>)> = Vec::new();
         for (i, sql) in candidates.iter().enumerate() {
-            if let Ok(rs) = execute(ctx.database, sql) {
-                let fp = rs.fingerprint();
-                match buckets.iter_mut().find(|(f, _)| *f == fp) {
+            if let Ok((outcome, _)) = self.memo.execute(ctx.database, sql) {
+                match buckets.iter_mut().find(|(seen, _)| seen.result_eq(&outcome)) {
                     Some((_, members)) => members.push(i),
-                    None => buckets.push((fp, vec![i])),
+                    None => buckets.push((outcome, vec![i])),
                 }
             }
         }
@@ -87,6 +92,7 @@ mod tests {
     use super::*;
     use crate::test_support::*;
     use seed_datasets::Split;
+    use seed_sqlengine::execute;
 
     #[test]
     fn voting_prefers_executable_candidates() {

@@ -10,9 +10,12 @@
 //! the paper's Table VI/VII analysis shows that SEED_deepseek's extra
 //! join-information sentences confuse it. That format sensitivity is modelled
 //! as a difficulty penalty when the supplied evidence contains join hints.
+//! The unit tester runs its candidates through a [`ResultMemo`] the system
+//! owns, so a candidate seen before against the same table states is not
+//! executed again.
 
 use seed_llm::{LanguageModel, ModelProfile, SchemaSummaryTask, SimLlm, SqlGenTask};
-use seed_sqlengine::execute;
+use seed_sqlengine::ResultMemo;
 
 use crate::value_retrieval::retrieve_values;
 use crate::{GenerationContext, Text2SqlSystem};
@@ -30,12 +33,14 @@ pub enum ChessConfig {
 pub struct Chess {
     model: SimLlm,
     config: ChessConfig,
+    /// The outcomes of the candidates the unit tester executed.
+    memo: ResultMemo,
 }
 
 impl Chess {
     /// Creates CHESS with the given agent configuration (GPT-4o-mini base).
     pub fn new(config: ChessConfig) -> Self {
-        Chess { model: SimLlm::new(ModelProfile::gpt_4o_mini()), config }
+        Chess { model: SimLlm::new(ModelProfile::gpt_4o_mini()), config, memo: ResultMemo::new() }
     }
 
     /// The underlying simulated model.
@@ -110,8 +115,8 @@ impl Text2SqlSystem for Chess {
             }
             if self.config == ChessConfig::IrCgUt {
                 // UT agent: keep the first candidate that executes and returns rows.
-                match execute(ctx.database, &sql) {
-                    Ok(rs) if !rs.is_empty() => {
+                match self.memo.execute(ctx.database, &sql) {
+                    Ok((outcome, _)) if !outcome.result.is_empty() => {
                         best = Some(sql);
                         break;
                     }
@@ -132,6 +137,7 @@ mod tests {
     use super::*;
     use crate::test_support::*;
     use seed_datasets::Split;
+    use seed_sqlengine::execute;
 
     fn accuracy(
         system: &Chess,

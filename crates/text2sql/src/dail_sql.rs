@@ -5,8 +5,10 @@
 //! render them. It performs no database-value retrieval of its own and simply
 //! concatenates the evidence with the question — which is why the paper finds
 //! it suffers the largest degradation (−20.86 EX) when evidence is withheld.
+//! Its embedder keeps each pool question's embedding, so a training pool is
+//! embedded once, not once per question.
 
-use seed_embedding::{rank_by_similarity, EmbeddingModel, HashedEmbedder};
+use seed_embedding::{EmbeddingModel, HashedEmbedder, PoolEmbedder};
 use seed_llm::{FewShotExample, LanguageModel, ModelProfile, SimLlm, SqlGenTask};
 
 use crate::{GenerationContext, Text2SqlSystem};
@@ -17,7 +19,7 @@ const FEW_SHOT: usize = 5;
 /// The DAIL-SQL system (GPT-4 base, as in the paper's Table IV).
 pub struct DailSql {
     model: SimLlm,
-    embedder: HashedEmbedder,
+    embedder: PoolEmbedder<HashedEmbedder>,
 }
 
 impl Default for DailSql {
@@ -28,7 +30,10 @@ impl Default for DailSql {
 
 impl DailSql {
     pub fn new() -> Self {
-        DailSql { model: SimLlm::new(ModelProfile::gpt_4()), embedder: HashedEmbedder::default() }
+        DailSql {
+            model: SimLlm::new(ModelProfile::gpt_4()),
+            embedder: PoolEmbedder::new(HashedEmbedder::default()),
+        }
     }
 
     /// The underlying simulated model.
@@ -42,7 +47,7 @@ impl DailSql {
             return Vec::new();
         }
         let candidates: Vec<&str> = ctx.train_pool.iter().map(|q| q.text.as_str()).collect();
-        let ranked = rank_by_similarity(&self.embedder, &ctx.question.text, &candidates);
+        let ranked = self.embedder.rank(&ctx.question.text, &candidates);
         ranked
             .into_iter()
             .take(FEW_SHOT)
@@ -87,7 +92,7 @@ impl Text2SqlSystem for DailSql {
 impl DailSql {
     /// Embedding dimension used for example selection (exposed for tests).
     pub fn embedding_dimension(&self) -> usize {
-        self.embedder.dimension()
+        self.embedder.model().dimension()
     }
 }
 
@@ -109,6 +114,25 @@ mod tests {
         let examples = system.select_examples(&ctx);
         assert!(!examples.is_empty());
         assert!(examples.len() <= FEW_SHOT);
+    }
+
+    #[test]
+    fn a_kept_pool_generates_what_a_fresh_system_generates() {
+        let bench = seed_datasets::bird::build_bird(&seed_datasets::CorpusConfig::default());
+        let train: Vec<&seed_datasets::Question> = bench.split(Split::Train);
+        let kept = DailSql::new();
+        for q in bench.split(Split::Dev) {
+            let db = bench.database(&q.db_id).unwrap();
+            let ctx =
+                GenerationContext { question: q, database: db, evidence: None, train_pool: &train };
+            assert_eq!(
+                kept.select_examples(&ctx),
+                DailSql::new().select_examples(&ctx),
+                "{}",
+                q.id
+            );
+            assert_eq!(kept.generate(&ctx), DailSql::new().generate(&ctx), "{}", q.id);
+        }
     }
 
     #[test]

@@ -156,14 +156,19 @@ fn scores_eq(a: &Scores, b: &Scores) -> bool {
 #[test]
 fn parallel_eval_runner_matches_serial_scores_on_both_corpora() {
     for bench in corpora() {
-        let runner = ExperimentRunner::new(&bench, Split::Dev);
         let system = CodeS::new(7);
-        let serial = runner.evaluate(&system, EvidenceSetting::WithoutEvidence);
+        let serial = ExperimentRunner::new(&bench, Split::Dev)
+            .evaluate(&system, EvidenceSetting::WithoutEvidence);
         // Tiny-corpus dev splits: bird has ~55 questions, spider ~12.
         assert!(serial.scores.n > 10, "{}: substantive split", bench.name);
         for workers in [1usize, 2, 8] {
-            let parallel =
-                runner.evaluate_parallel(&system, EvidenceSetting::WithoutEvidence, workers);
+            // A fresh runner per worker count: the workers race to fill a
+            // cold result memo.
+            let parallel = ExperimentRunner::new(&bench, Split::Dev).evaluate_parallel(
+                &system,
+                EvidenceSetting::WithoutEvidence,
+                workers,
+            );
             assert!(
                 scores_eq(&parallel.scores, &serial.scores),
                 "{}: Scores diverged at {workers} workers: {:?} vs {:?}",
@@ -171,11 +176,14 @@ fn parallel_eval_runner_matches_serial_scores_on_both_corpora() {
                 parallel.scores,
                 serial.scores
             );
-            assert_eq!(parallel.stats.rows_scanned, serial.stats.rows_scanned);
-            assert_eq!(parallel.stats.evaluations, serial.stats.evaluations);
-            assert_eq!(parallel.stats.hash_probes, serial.stats.hash_probes);
-            assert_eq!(parallel.stats.hash_build_rows, serial.stats.hash_build_rows);
-            assert_eq!(parallel.stats.index_lookups, serial.stats.index_lookups);
+            // Every counter, with plan lookups compared as hits + misses:
+            // which racing worker executes a statement first is scheduling.
+            assert_eq!(
+                parallel.stats.replayed(),
+                serial.stats.replayed(),
+                "{}: stats diverged at {workers} workers",
+                bench.name
+            );
         }
     }
 }
