@@ -7,7 +7,8 @@
 //! workload whose per-outer-row re-planning is eliminated by the plan cache,
 //! SEED's sample-SQL probe shapes on BIRD toxicology at scale 16, the
 //! commit path (`commit_path` benches) on the same table at scales 1 and 16,
-//! and the result memo behind evaluation (`result_memo` benches).
+//! the result memo behind evaluation (`result_memo` benches), and value
+//! retrieval, uncached and through a warm `ValueRetriever`.
 
 use std::sync::Arc;
 
@@ -20,7 +21,8 @@ use seed_sqlengine::{
     execute_statement, execute_with_stats_mode, parse_select, plan_select, ColumnDef, DataType,
     Database, PlanCache, PlanMode, ResultMemo, SharedPlanCache, TableSchema,
 };
-use seed_text2sql::C3;
+use seed_text2sql::value_retrieval::{retrieve_values, ValueRetriever};
+use seed_text2sql::{CodeS, C3};
 
 /// Rows in the 1x synthetic table; the 10x variants multiply this.
 const BASE_ROWS: usize = 1_000;
@@ -453,6 +455,36 @@ fn engine_benches(c: &mut Criterion) {
     });
     c.bench_function("engine/result_memo_plan_cache_gold", |b| {
         b.iter(|| plans.execute(db, &gold.gold_sql).unwrap())
+    });
+
+    // Value retrieval over the BIRD dev questions at scale 1: a scan per
+    // question, and a warm retriever answering each from its positions
+    // (asserted equal to the scan first); then one Table IV cell of CodeS-15B
+    // without evidence on a runner, and a system, that have evaluated it
+    // once before.
+    let questions: Vec<_> = bird1
+        .split(Split::Dev)
+        .into_iter()
+        .map(|q| (&q.text, bird1.database(&q.db_id).unwrap()))
+        .collect();
+    c.bench_function("engine/retrieve_values_bird_dev", |b| {
+        b.iter(|| questions.iter().map(|(q, db)| retrieve_values(q, db).len()).sum::<usize>())
+    });
+    let retriever = ValueRetriever::new();
+    for (q, db) in &questions {
+        assert_eq!(retriever.retrieve(q, db), retrieve_values(q, db), "{q}");
+    }
+    c.bench_function("engine/value_retriever_hit_bird_dev", |b| {
+        b.iter(|| questions.iter().map(|(q, db)| retriever.retrieve(q, db).len()).sum::<usize>())
+    });
+    let codes = CodeS::new(15);
+    let codes_cell = runner.evaluate(&codes, EvidenceSetting::WithoutEvidence);
+    c.bench_function("engine/table4_cell_codes15_warm", |b| {
+        b.iter(|| {
+            let again = runner.evaluate(&codes, EvidenceSetting::WithoutEvidence);
+            assert_eq!(again.scores, codes_cell.scores);
+            again
+        })
     });
 }
 

@@ -298,8 +298,11 @@ impl LanguageModel for SimLlm {
         } else {
             // Efficiency variation: a fluent model often omits a gold ORDER BY
             // that does not affect the answer set, producing a cheaper query.
-            if !sql.to_uppercase().contains(" LIMIT ") {
-                if let Some(pos) = sql.to_uppercase().find(" ORDER BY ") {
+            // ASCII uppercasing keeps every byte offset of `sql`, so `pos` is
+            // a char boundary of it.
+            let upper = sql.to_ascii_uppercase();
+            if !upper.contains(" LIMIT ") {
+                if let Some(pos) = upper.find(" ORDER BY ") {
                     if rng.gen_bool(0.4 + 0.4 * self.profile.skill) {
                         sql.truncate(pos);
                     }
@@ -754,6 +757,32 @@ mod tests {
             .candidate_columns
             .iter()
             .any(|(t, c)| t == "loan" && c == "amount"));
+    }
+
+    /// Dropping an ORDER BY cuts the query at the keyword's own byte
+    /// offset, even when a literal holds characters whose uppercase has
+    /// another byte length (`ı`: 2 bytes to 1, `ﬀ`: 3 to 2, `ŉ`: 2 to 3).
+    #[test]
+    fn dropping_order_by_cuts_at_the_keyword_around_any_literal() {
+        let schema = schema();
+        let model = SimLlm::new(ModelProfile::gpt_4o());
+        for literal in ["ıııı", "ﬀ", "ŉ", "abc"] {
+            let gold = format!("SELECT name FROM t WHERE name = '{literal}' ORDER BY name");
+            let cut = format!("SELECT name FROM t WHERE name = '{literal}'");
+            let mut dropped = 0;
+            for i in 0..40 {
+                let id = format!("q-{i}");
+                let task = SqlGenTask {
+                    question_id: &id,
+                    difficulty: 0.0,
+                    ..base_task(&schema, &gold, &[], None)
+                };
+                let sql = model.generate_sql(&task).sql;
+                assert!(sql == gold || sql == cut, "{literal:?}, {id}: {sql:?}");
+                dropped += usize::from(sql == cut);
+            }
+            assert!(dropped > 0 && dropped < 40, "{literal:?}: {dropped} of 40 dropped");
+        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! and a commit copies one table's chunk list and PK index. Row-shaped
 //! access ([`Table::row`], [`Table::rows`]) reads out of the chunks.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Deref;
@@ -970,6 +971,17 @@ impl Table {
     }
 }
 
+/// The key a table is stored under: its name lowercased. A name with no
+/// ASCII uppercase letter is its own key, so a lookup by it allocates
+/// nothing.
+fn table_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
 /// An in-memory database: a named collection of tables plus the schema-level
 /// metadata (foreign keys, descriptions).
 ///
@@ -1000,7 +1012,7 @@ impl Database {
     pub fn from_schema(schema: DatabaseSchema) -> Self {
         let mut tables = BTreeMap::new();
         for t in &schema.tables {
-            tables.insert(t.name.to_ascii_lowercase(), Arc::new(Table::new(t.clone())));
+            tables.insert(table_key(&t.name).into_owned(), Arc::new(Table::new(t.clone())));
         }
         Database { schema, tables, version: 0 }
     }
@@ -1035,10 +1047,14 @@ impl Database {
     /// hitting across snapshots that did not touch a statement's tables and
     /// miss as soon as one did. Unknown tables hash as a sentinel (a later
     /// `CREATE TABLE` changes the fingerprint).
-    pub fn dependency_fingerprint(&self, tables: &[String]) -> u64 {
+    pub fn dependency_fingerprint<S: AsRef<str>>(
+        &self,
+        tables: impl IntoIterator<Item = S>,
+    ) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
         for name in tables {
+            let name = name.as_ref();
             name.hash(&mut h);
             match self.table(name) {
                 Ok(t) => t.generation().hash(&mut h),
@@ -1051,7 +1067,7 @@ impl Database {
     /// Registers a new (empty) table.
     pub fn create_table(&mut self, schema: TableSchema) -> SqlResult<()> {
         self.schema.add_table(schema.clone())?;
-        self.tables.insert(schema.name.to_ascii_lowercase(), Arc::new(Table::new(schema)));
+        self.tables.insert(table_key(&schema.name).into_owned(), Arc::new(Table::new(schema)));
         Ok(())
     }
 
@@ -1062,10 +1078,7 @@ impl Database {
 
     /// Immutable access to a table by case-insensitive name.
     pub fn table(&self, name: &str) -> SqlResult<&Table> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .map(|t| t.as_ref())
-            .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
+        self.table_arc(name).map(|t| t.as_ref())
     }
 
     /// The shared handle of a table by case-insensitive name. `Arc::ptr_eq`
@@ -1074,7 +1087,7 @@ impl Database {
     /// snapshot proptests pin.
     pub fn table_arc(&self, name: &str) -> SqlResult<&Arc<Table>> {
         self.tables
-            .get(&name.to_ascii_lowercase())
+            .get(table_key(name).as_ref())
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))
     }
 
@@ -1092,7 +1105,7 @@ impl Database {
     ) -> SqlResult<()> {
         let slot = self
             .tables
-            .get_mut(&name.to_ascii_lowercase())
+            .get_mut(table_key(name).as_ref())
             .ok_or_else(|| SqlError::UnknownTable(name.to_string()))?;
         match Arc::get_mut(slot) {
             Some(table) => write(table),
@@ -1235,6 +1248,30 @@ mod tests {
     fn unknown_table_errors() {
         let db = Database::new("x");
         assert!(matches!(db.table("nope"), Err(SqlError::UnknownTable(_))));
+    }
+
+    #[test]
+    fn table_names_resolve_case_insensitively() {
+        let mut db = Database::new("financial");
+        db.create_table(client_table()).unwrap();
+        db.create_table(TableSchema::new("Loan", vec![ColumnDef::new("id", DataType::Integer)]))
+            .unwrap();
+        for (table, names) in
+            [("client", ["client", "CLIENT", "Client"]), ("Loan", ["loan", "LOAN", "Loan"])]
+        {
+            let stored = db.table_arc(table).unwrap();
+            for name in names {
+                assert!(Arc::ptr_eq(db.table_arc(name).unwrap(), stored), "{name}");
+                assert!(std::ptr::eq(db.table(name).unwrap(), stored.as_ref()), "{name}");
+            }
+        }
+        db.insert("LOAN", vec![1.into()]).unwrap();
+        assert_eq!(db.table("loan").unwrap().len(), 1);
+        for name in ["clients", "CLIENTS", "lo an", ""] {
+            assert_eq!(db.table(name).unwrap_err(), SqlError::UnknownTable(name.to_string()));
+            assert!(matches!(db.table_arc(name), Err(SqlError::UnknownTable(_))), "{name}");
+            assert!(matches!(db.insert(name, vec![1.into()]), Err(SqlError::UnknownTable(_))));
+        }
     }
 
     #[test]

@@ -10,14 +10,16 @@
 //! the paper's Table VI/VII analysis shows that SEED_deepseek's extra
 //! join-information sentences confuse it. That format sensitivity is modelled
 //! as a difficulty penalty when the supplied evidence contains join hints.
-//! The unit tester runs its candidates through a [`ResultMemo`] the system
-//! owns, so a candidate seen before against the same table states is not
+//! The information retriever matches the question against the values
+//! through a [`ValueRetriever`], and the unit tester runs its candidates
+//! through a [`ResultMemo`], both owned by the system, so a question or a
+//! candidate seen before against the same table states is not matched or
 //! executed again.
 
 use seed_llm::{LanguageModel, ModelProfile, SchemaSummaryTask, SimLlm, SqlGenTask};
 use seed_sqlengine::ResultMemo;
 
-use crate::value_retrieval::retrieve_values;
+use crate::value_retrieval::ValueRetriever;
 use crate::{GenerationContext, Text2SqlSystem};
 
 /// Which agents are active.
@@ -33,6 +35,8 @@ pub enum ChessConfig {
 pub struct Chess {
     model: SimLlm,
     config: ChessConfig,
+    /// The values each question grounded.
+    values: ValueRetriever,
     /// The outcomes of the candidates the unit tester executed.
     memo: ResultMemo,
 }
@@ -40,7 +44,12 @@ pub struct Chess {
 impl Chess {
     /// Creates CHESS with the given agent configuration (GPT-4o-mini base).
     pub fn new(config: ChessConfig) -> Self {
-        Chess { model: SimLlm::new(ModelProfile::gpt_4o_mini()), config, memo: ResultMemo::new() }
+        Chess {
+            model: SimLlm::new(ModelProfile::gpt_4o_mini()),
+            config,
+            values: ValueRetriever::new(),
+            memo: ResultMemo::new(),
+        }
     }
 
     /// The underlying simulated model.
@@ -67,7 +76,7 @@ impl Text2SqlSystem for Chess {
 
     fn generate(&self, ctx: &GenerationContext<'_>) -> String {
         // IR agent: values + description lines.
-        let grounded = retrieve_values(&ctx.question.text, ctx.database);
+        let grounded = self.values.retrieve(&ctx.question.text, ctx.database);
 
         // SS agent: prune the schema (only in the IR+SS+CG configuration).
         let schema_subset = if self.config == ChessConfig::IrSsCg {

@@ -6,23 +6,31 @@
 //! concatenation with the question. Here the fine-tuned generator is the
 //! simulator with a `sft-codes-*` profile (small context, very high
 //! evidence-grounding fidelity), and the value referencing is
-//! [`crate::value_retrieval`].
+//! [`crate::value_retrieval`], through a [`ValueRetriever`] the system owns,
+//! so a question asked again of the same table states is not matched
+//! against the values again.
 
 use seed_llm::{LanguageModel, ModelProfile, SimLlm, SqlGenTask};
 
-use crate::value_retrieval::retrieve_values;
+use crate::value_retrieval::ValueRetriever;
 use crate::{GenerationContext, Text2SqlSystem};
 
 /// The CodeS system at a given parameter count (in billions).
 pub struct CodeS {
     model: SimLlm,
     billions: u32,
+    /// The values each question grounded.
+    values: ValueRetriever,
 }
 
 impl CodeS {
     /// Creates a CodeS system of the given size (1, 3, 7, or 15 billion).
     pub fn new(billions: u32) -> Self {
-        CodeS { model: SimLlm::new(ModelProfile::codes(billions)), billions }
+        CodeS {
+            model: SimLlm::new(ModelProfile::codes(billions)),
+            billions,
+            values: ValueRetriever::new(),
+        }
     }
 
     /// The underlying simulated model (exposed for usage accounting).
@@ -38,7 +46,7 @@ impl Text2SqlSystem for CodeS {
 
     fn generate(&self, ctx: &GenerationContext<'_>) -> String {
         // Coarse-to-fine value referencing (BM25 + LCS in the paper).
-        let grounded = retrieve_values(&ctx.question.text, ctx.database);
+        let grounded = self.values.retrieve(&ctx.question.text, ctx.database);
         let task = SqlGenTask {
             question_id: &ctx.question.id,
             question: &ctx.question.text,

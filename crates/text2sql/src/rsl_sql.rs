@@ -4,16 +4,21 @@
 //! extracts the schema elements that query references, and then generates the
 //! final query over the union of forward-linked and backward-extracted
 //! elements. The bidirectional step is what makes its pruning robust: tables
-//! the preliminary query needed are never dropped.
+//! the preliminary query needed are never dropped. Both generations see the
+//! values [`crate::value_retrieval`] grounds, through a [`ValueRetriever`]
+//! the system owns, so a question asked again of the same table states is
+//! not matched against the values again.
 
 use seed_llm::{LanguageModel, ModelProfile, SimLlm, SqlGenTask};
 
-use crate::value_retrieval::retrieve_values;
+use crate::value_retrieval::ValueRetriever;
 use crate::{GenerationContext, Text2SqlSystem};
 
 /// The RSL-SQL system (GPT-4o base, as in the paper's Table IV).
 pub struct RslSql {
     model: SimLlm,
+    /// The values each question grounded.
+    values: ValueRetriever,
 }
 
 impl Default for RslSql {
@@ -24,7 +29,7 @@ impl Default for RslSql {
 
 impl RslSql {
     pub fn new() -> Self {
-        RslSql { model: SimLlm::new(ModelProfile::gpt_4o()) }
+        RslSql { model: SimLlm::new(ModelProfile::gpt_4o()), values: ValueRetriever::new() }
     }
 
     /// The underlying simulated model.
@@ -50,7 +55,7 @@ impl Text2SqlSystem for RslSql {
     }
 
     fn generate(&self, ctx: &GenerationContext<'_>) -> String {
-        let grounded = retrieve_values(&ctx.question.text, ctx.database);
+        let grounded = self.values.retrieve(&ctx.question.text, ctx.database);
         fn make_task<'a>(
             ctx: &GenerationContext<'a>,
             grounded: &'a [seed_llm::GroundedColumn],

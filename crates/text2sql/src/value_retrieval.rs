@@ -10,6 +10,21 @@
 //! The values scanned are each table's value sample
 //! ([`seed_sqlengine::Table::value_sample`]), built once per table state —
 //! the published systems likewise index values offline, not per question.
+//!
+//! A scan finds *positions* — for each grounded column, the table's index in
+//! schema order, the column's index in the table's value sample, and the
+//! indices of its grounded values, best first — and the
+//! [`GroundedColumn`]s are built from those positions and the samples.
+//! [`retrieve_values`] scans on every call. A [`ValueRetriever`], which
+//! each of CodeS, CHESS and RSL-SQL owns, keeps the positions per database
+//! name and question text, together with the
+//! [`Database::dependency_fingerprint`] of every table of the database, and
+//! answers a repeated question by building its columns again, without a
+//! scan. Table generations are unique within the process, so under an
+//! equal fingerprint every sample is the one the positions index.
+
+use std::collections::HashMap;
+use std::sync::{PoisonError, RwLock};
 
 use seed_llm::GroundedColumn;
 use seed_retrieval::{
@@ -21,39 +36,164 @@ use seed_sqlengine::{Database, SampledValue};
 const REPORTED_VALUES: usize = 6;
 /// Lowest match score at which a value is grounded.
 const MATCH_THRESHOLD: f64 = 0.72;
+/// Most questions a [`ValueRetriever`] keeps positions for.
+pub const MAX_RETRIEVED_QUESTIONS: usize = 1024;
 
 /// Retrieves values relevant to the question from every text column.
 pub fn retrieve_values(question: &str, db: &Database) -> Vec<GroundedColumn> {
+    grounded_columns(&ground(question, db), db)
+}
+
+/// Where one grounded column's values sit in a database state.
+#[derive(Debug)]
+struct GroundedPosition {
+    /// Index of the table in schema order.
+    table: usize,
+    /// Index of the column in the table's value sample.
+    column: usize,
+    /// Indices of the grounded values in the column's sample, best score
+    /// first.
+    values: Box<[usize]>,
+}
+
+/// Scores every sampled value against the question's words and returns the
+/// positions of the grounded columns, in schema and sample order.
+fn ground(question: &str, db: &Database) -> Vec<GroundedPosition> {
     let words = content_words(question);
     // `content_words` lowercases char by char, and lowercase chars are fixed
     // points of `str::to_lowercase`, so the words are already lowercased.
     let words: Vec<(&str, usize)> = words.iter().map(|w| (w.as_str(), w.chars().count())).collect();
     let mut row = DpRow::default();
     let mut out = Vec::new();
-    for table_name in db.table_names() {
-        let table = match db.table(&table_name) {
-            Ok(t) => t,
-            Err(_) => continue,
-        };
-        for sample in table.value_sample().columns() {
-            let mut matched: Vec<(&SampledValue, f64)> = sample
+    for (t, schema) in db.schema().tables.iter().enumerate() {
+        let Ok(table) = db.table(&schema.name) else { continue };
+        for (c, sample) in table.value_sample().columns().iter().enumerate() {
+            let mut matched: Vec<(usize, f64)> = sample
                 .values
                 .iter()
-                .map(|v| (v, match_score(&words, v, &mut row)))
+                .map(|v| match_score(&words, v, &mut row))
+                .enumerate()
                 .filter(|(_, score)| *score >= MATCH_THRESHOLD)
                 .collect();
             if matched.is_empty() {
                 continue;
             }
             matched.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-            out.push(GroundedColumn::new(
-                &table_name,
-                &table.schema.columns[sample.column].name,
-                matched.into_iter().take(REPORTED_VALUES).map(|(v, _)| v.text.clone()).collect(),
-            ));
+            out.push(GroundedPosition {
+                table: t,
+                column: c,
+                values: matched.into_iter().take(REPORTED_VALUES).map(|(i, _)| i).collect(),
+            });
         }
     }
     out
+}
+
+/// The grounded columns at `positions`, which [`ground`] found on `db` or on
+/// a database with the same dependency fingerprint over every table.
+fn grounded_columns(positions: &[GroundedPosition], db: &Database) -> Vec<GroundedColumn> {
+    let tables = &db.schema().tables;
+    positions
+        .iter()
+        .map(|p| {
+            let name = &tables[p.table].name;
+            let table = db.table(name).expect("a grounded position names a table of the database");
+            let sample = &table.value_sample().columns()[p.column];
+            GroundedColumn::new(
+                name,
+                &table.schema.columns[sample.column].name,
+                p.values.iter().map(|&i| sample.values[i].text.clone()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// The positions one question grounds on one database state.
+#[derive(Debug)]
+struct Grounding {
+    /// [`Database::dependency_fingerprint`] of every table, in schema order.
+    fingerprint: u64,
+    positions: Box<[GroundedPosition]>,
+}
+
+/// Database name, then question text, so a lookup probes with borrowed
+/// `&str`s and allocates nothing.
+type Groundings = HashMap<String, HashMap<String, Grounding>>;
+
+/// Number of groundings kept, over every database.
+fn count(groundings: &Groundings) -> usize {
+    groundings.values().map(HashMap::len).sum()
+}
+
+/// Drops an arbitrary grounding, and the map it leaves empty.
+fn evict_one(groundings: &mut Groundings) {
+    let Some(db) = groundings.keys().next().cloned() else { return };
+    let questions = groundings.get_mut(&db).expect("the key was just read");
+    let question = questions.keys().next().cloned().expect("no empty map is kept");
+    questions.remove(&question);
+    if questions.is_empty() {
+        groundings.remove(&db);
+    }
+}
+
+/// [`retrieve_values`] behind a bounded, thread-safe memo of grounded
+/// positions (see the module docs). It keeps one grounding per database
+/// name and question text, at most [`MAX_RETRIEVED_QUESTIONS`]: a new
+/// question reaching a full memo drops an arbitrary one, and a question
+/// asked of another state of its database replaces its grounding. Two
+/// threads that miss on one question at once both scan, and store equal
+/// groundings.
+#[derive(Debug, Default)]
+pub struct ValueRetriever {
+    groundings: RwLock<Groundings>,
+}
+
+impl ValueRetriever {
+    /// An empty retriever.
+    pub fn new() -> Self {
+        ValueRetriever::default()
+    }
+
+    /// What [`retrieve_values`] returns for `question` on `db`. A question
+    /// seen before on the same table states is answered from its stored
+    /// positions, without a scan. Every update leaves the maps whole, so a
+    /// guard a panicking thread left behind is safe to take.
+    pub fn retrieve(&self, question: &str, db: &Database) -> Vec<GroundedColumn> {
+        let fingerprint = db.dependency_fingerprint(db.schema().tables.iter().map(|t| &t.name));
+        {
+            let groundings = self.groundings.read().unwrap_or_else(PoisonError::into_inner);
+            let stored = groundings.get(db.name()).and_then(|q| q.get(question));
+            if let Some(grounding) = stored.filter(|g| g.fingerprint == fingerprint) {
+                return grounded_columns(&grounding.positions, db);
+            }
+        }
+        let positions = ground(question, db);
+        let columns = grounded_columns(&positions, db);
+        let grounding = Grounding { fingerprint, positions: positions.into() };
+        let mut groundings = self.groundings.write().unwrap_or_else(PoisonError::into_inner);
+        if let Some(stored) = groundings.get_mut(db.name()).and_then(|q| q.get_mut(question)) {
+            *stored = grounding;
+            return columns;
+        }
+        if count(&groundings) >= MAX_RETRIEVED_QUESTIONS {
+            evict_one(&mut groundings);
+        }
+        groundings
+            .entry(db.name().to_string())
+            .or_default()
+            .insert(question.to_string(), grounding);
+        columns
+    }
+
+    /// Number of groundings kept: one per database name and question.
+    pub fn len(&self) -> usize {
+        count(&self.groundings.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// True when no grounding is kept.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Scores how well any question word matches a sampled value: 1 for an
@@ -211,23 +351,61 @@ mod tests {
         assert!(grounded.len() < 3);
     }
 
+    /// [`retrieve_values`], and a retriever's first call and its second
+    /// (a hit), each equal the oracle on every question of both corpora.
     #[test]
     fn matches_the_rescanning_oracle_on_every_corpus_question() {
+        let retriever = ValueRetriever::new();
         for bench in [build_bird(&CorpusConfig::default()), build_spider(&CorpusConfig::default())]
         {
             assert!(!bench.questions.is_empty());
             for q in &bench.questions {
                 let db = bench.database(&q.db_id).unwrap();
-                assert_eq!(
-                    retrieve_values(&q.text, db),
-                    retrieve_values_by_rescanning(&q.text, db),
-                    "{} question {}: {:?}",
-                    bench.name,
-                    q.id,
-                    q.text
-                );
+                let expected = retrieve_values_by_rescanning(&q.text, db);
+                let why = format!("{} question {}: {:?}", bench.name, q.id, q.text);
+                assert_eq!(retrieve_values(&q.text, db), expected, "{why}");
+                assert_eq!(retriever.retrieve(&q.text, db), expected, "first call, {why}");
+                assert_eq!(retriever.retrieve(&q.text, db), expected, "second call, {why}");
             }
         }
+    }
+
+    #[test]
+    fn a_retriever_holds_at_most_its_bound() {
+        let bench = build_bird(&CorpusConfig::tiny());
+        let db = bench.database("financial").unwrap();
+        let retriever = ValueRetriever::new();
+        for i in 0..1_100 {
+            let question = format!("How many clients of branch {i} bank in Jesenik?");
+            assert_eq!(retriever.retrieve(&question, db), retrieve_values(&question, db));
+            assert!(retriever.len() <= MAX_RETRIEVED_QUESTIONS);
+        }
+        assert_eq!(retriever.len(), MAX_RETRIEVED_QUESTIONS);
+    }
+
+    #[test]
+    fn racing_calls_on_a_fresh_retriever_all_return_the_oracle() {
+        let bench = build_bird(&CorpusConfig::tiny());
+        let db = bench.database("financial").unwrap();
+        let question = "How many clients opened accounts in the Jesenik branch?";
+        let expected = retrieve_values_by_rescanning(question, db);
+        assert!(!expected.is_empty());
+        let retriever = ValueRetriever::new();
+        let start = std::sync::Barrier::new(8);
+        let answers: Vec<Vec<GroundedColumn>> = std::thread::scope(|scope| {
+            let calls: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        retriever.retrieve(question, db)
+                    })
+                })
+                .collect();
+            calls.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        assert!(answers.iter().all(|a| *a == expected), "{answers:?}");
+        assert_eq!(retriever.len(), 1);
+        assert_eq!(retriever.retrieve(question, db), expected);
     }
 
     /// Generated tables and questions: mixed case, repeated values, NULLs,
@@ -296,7 +474,8 @@ mod tests {
 
     /// A committed value is grounded on the new snapshot, while a reader
     /// pinned to the old snapshot, whose sample was built before the commit
-    /// and inherited by the copy-on-write clone, keeps its old answer.
+    /// and inherited by the copy-on-write clone, keeps its old answer; so
+    /// does one retriever asked of both snapshots in turn.
     #[test]
     fn committed_values_ground_on_the_new_snapshot_only() {
         let mut db = Database::new("bank");
@@ -311,8 +490,10 @@ mod tests {
         db.insert("branch", vec![1.into(), "Pisek".into()]).unwrap();
         db.insert("branch", vec![2.into(), "Jesenik".into()]).unwrap();
         let question = "How many clients bank in Zlatohorsk or Jesenik?";
+        let retriever = ValueRetriever::new();
         let old_answer = retrieve_values(question, &db);
         assert!(old_answer.iter().all(|g| g.values.iter().all(|v| v != "Zlatohorsk")));
+        assert_eq!(retriever.retrieve(question, &db), old_answer);
 
         let next = commit_statement(&db, "INSERT INTO branch VALUES (3, 'Zlatohorsk')").unwrap().db;
         let new_answer = retrieve_values(question, &next);
@@ -324,5 +505,10 @@ mod tests {
         );
         assert_eq!(new_answer, retrieve_values_by_rescanning(question, &next));
         assert_eq!(retrieve_values(question, &db), old_answer);
+        for _ in 0..2 {
+            assert_eq!(retriever.retrieve(question, &next), new_answer);
+            assert_eq!(retriever.retrieve(question, &db), old_answer);
+        }
+        assert_eq!(retriever.len(), 1, "one grounding per database name and question");
     }
 }

@@ -1,7 +1,7 @@
-//! The result memo on the paper's corpora: it never lets one table state
-//! answer for another, a hit reports what a warm plan cache reports, and
-//! the systems that memoize their candidates generate what fresh systems
-//! generate.
+//! The result memo and the value retriever on the paper's corpora: neither
+//! lets one table state answer for another, a memo hit reports what a warm
+//! plan cache reports, and the systems that memoize their candidates or
+//! their grounded values generate what fresh systems generate.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -12,7 +12,10 @@ use seed_repro::datasets::{
 };
 use seed_repro::eval::{EvidenceSetting, ExperimentRunner};
 use seed_repro::sqlengine::{execute_with_stats_mode, PlanMode, ResultMemo, SharedPlanCache};
-use seed_repro::text2sql::{Chess, ChessConfig, GenerationContext, Text2SqlSystem, C3};
+use seed_repro::text2sql::value_retrieval::{retrieve_values, ValueRetriever};
+use seed_repro::text2sql::{
+    Chess, ChessConfig, CodeS, GenerationContext, RslSql, Text2SqlSystem, C3,
+};
 
 /// Every distinct (database, gold SQL) pair of a corpus, both splits.
 fn gold_statements(bench: &Benchmark) -> BTreeSet<(String, String)> {
@@ -46,6 +49,34 @@ fn corpora_from_different_seeds_share_no_entry() {
     assert!(differing > 0, "some gold statement answers differently on the two corpora");
 }
 
+/// A retriever filled on one corpus answers a corpus from another seed,
+/// whose databases have the same names, as a scan of that corpus does.
+#[test]
+fn a_retriever_filled_on_one_corpus_answers_another_as_a_scan_does() {
+    let a = build_bird(&CorpusConfig { seed: 11, ..CorpusConfig::tiny() });
+    let b = build_bird(&CorpusConfig { seed: 12, ..CorpusConfig::tiny() });
+    let retriever = ValueRetriever::new();
+    for q in &a.questions {
+        retriever.retrieve(&q.text, a.database(&q.db_id).unwrap());
+    }
+    let asked: BTreeSet<(&str, &str)> =
+        a.questions.iter().map(|q| (q.db_id.as_str(), q.text.as_str())).collect();
+    let (mut repeated, mut differing) = (0, 0);
+    for q in &b.questions {
+        let db = b.database(&q.db_id).unwrap();
+        assert_eq!(db.name(), a.database(&q.db_id).unwrap().name());
+        let expected = retrieve_values(&q.text, db);
+        assert_eq!(retriever.retrieve(&q.text, db), expected, "{}: {:?}", q.id, q.text);
+        if asked.contains(&(q.db_id.as_str(), q.text.as_str())) {
+            repeated += 1;
+            differing +=
+                usize::from(retrieve_values(&q.text, a.database(&q.db_id).unwrap()) != expected);
+        }
+    }
+    assert!(repeated > 0, "some question of one corpus is asked of the other");
+    assert!(differing > 0, "some repeated question grounds differently on the two corpora");
+}
+
 /// A hit replays the stored stats with the plans counted as cache hits:
 /// field for field what re-executing through a warm plan cache reports,
 /// for every gold statement of both corpora.
@@ -74,18 +105,27 @@ fn a_hit_reports_what_a_warm_plan_cache_reports() {
 }
 
 /// C3's vote and CHESS's unit tester run their candidates through a memo
-/// each system keeps; what they generate equals what a system built fresh
-/// for each question generates, under every Table IV setting.
+/// each system keeps, and CodeS, CHESS and RSL-SQL match the question
+/// against the values through a retriever each keeps; what they generate
+/// equals what a system built fresh for each question generates, under
+/// every Table IV setting.
 #[test]
 fn memoizing_systems_generate_what_fresh_systems_generate() {
     use EvidenceSetting::*;
     let config = CorpusConfig::default();
+    let constructors: [fn() -> Box<dyn Text2SqlSystem>; 6] = [
+        || Box::new(C3::new()),
+        || Box::new(Chess::new(ChessConfig::IrCgUt)),
+        || Box::new(Chess::new(ChessConfig::IrSsCg)),
+        || Box::new(CodeS::new(15)),
+        || Box::new(CodeS::new(7)),
+        || Box::new(RslSql::new()),
+    ];
     for bench in [build_bird(&config), build_spider(&config)] {
         let runner = ExperimentRunner::new(&bench, Split::Dev)
             .with_seed_variants(&[SeedVariant::Gpt, SeedVariant::Deepseek]);
         let train = bench.split(Split::Train);
-        let c3 = C3::new();
-        let chess = Chess::new(ChessConfig::IrCgUt);
+        let systems: Vec<Box<dyn Text2SqlSystem>> = constructors.iter().map(|new| new()).collect();
         for setting in [WithoutEvidence, BirdEvidence, SeedGpt, SeedDeepseek] {
             for q in runner.questions() {
                 let evidence = runner.evidence_for(q, setting);
@@ -95,13 +135,15 @@ fn memoizing_systems_generate_what_fresh_systems_generate() {
                     evidence: evidence.as_deref(),
                     train_pool: &train,
                 };
-                assert_eq!(c3.generate(&ctx), C3::new().generate(&ctx), "C3, {}", q.id);
-                assert_eq!(
-                    chess.generate(&ctx),
-                    Chess::new(ChessConfig::IrCgUt).generate(&ctx),
-                    "CHESS, {}",
-                    q.id
-                );
+                for (system, fresh) in systems.iter().zip(&constructors) {
+                    assert_eq!(
+                        system.generate(&ctx),
+                        fresh().generate(&ctx),
+                        "{}, {setting:?}, {}",
+                        system.name(),
+                        q.id
+                    );
+                }
             }
         }
     }
